@@ -53,6 +53,8 @@ Examples
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.controller.controller import (
     FailureDispatch,
     GroupRestoration,
@@ -104,14 +106,65 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Figure driver registry: canonical name -> (module, runner attribute).
+class _Figure(NamedTuple):
+    """One registry entry: where the driver lives and how it is run."""
+
+    module: str
+    runner: str
+    #: The line the CLI prints above the rendered table (None: no header).
+    header: str | None
+    #: Driver keywords for the reduced (``quick``) grid.
+    quick: dict = {}
+    #: Driver keywords for the full grid, where that is not the driver's
+    #: default.
+    full: dict = {}
+
+
+_QUICK_SWEEP = {"topologies": 4, "member_sets": 2}
+
+#: The figure registry: the only definition of each figure's driver,
+#: quick grid and stdout header.  :func:`build_figure` and the CLI's
+#: figure verbs both run figures through it.
 _FIGURES = {
-    "fig7": ("repro.experiments.fig7", "run_figure7"),
-    "fig8": ("repro.experiments.fig8", "run_figure8"),
-    "fig9": ("repro.experiments.fig9", "run_figure9"),
-    "fig10": ("repro.experiments.fig10", "run_figure10"),
-    "protection": ("repro.experiments.figprotect", "run_protection_figure"),
-    "distribution": ("repro.experiments.figdist", "run_distribution_figure"),
+    "fig7": _Figure("repro.experiments.fig7", "run_figure7", "--- Figure 7 ---"),
+    "fig8": _Figure(
+        "repro.experiments.fig8", "run_figure8", "--- Figure 8 ---",
+        quick=_QUICK_SWEEP,
+    ),
+    "fig9": _Figure(
+        "repro.experiments.fig9", "run_figure9", "--- Figure 9 ---",
+        quick=_QUICK_SWEEP,
+    ),
+    "fig10": _Figure(
+        "repro.experiments.fig10", "run_figure10", "--- Figure 10 ---",
+        quick=_QUICK_SWEEP,
+    ),
+    "protection": _Figure(
+        "repro.experiments.figprotect",
+        "run_protection_figure",
+        "--- Protection family: reactive vs precomputed recovery ---",
+        quick={
+            "rates": (0.02, 0.1),
+            "n": 40,
+            "group_size": 8,
+            "topologies": 2,
+            "member_sets": 1,
+            "trials": 2,
+        },
+    ),
+    "distribution": _Figure(
+        "repro.experiments.figdist",
+        "run_distribution_figure",
+        None,
+        quick={"engines": ("smrp", "spf"), "groups": 1000},
+    ),
+    "phases": _Figure(
+        "repro.experiments.figphases",
+        "run_phase_figure",
+        "--- Restoration latency breakdown by phase ---",
+        # The phase driver's own default is the quick grid.
+        full={"topologies": 10, "member_sets": 10},
+    ),
 }
 
 #: Distinguishes "caller did not mention cache" (session builds one)
@@ -283,7 +336,8 @@ class Session:
         return run_spec_sweep(spec, executor=self.executor, obs=self.obs)
 
     def build_figure(self, figure: int | str, *, quick: bool = False, **overrides):
-        """Run one of the paper's figure drivers on the session's executor."""
+        """Run one of the registered figure drivers on the session's
+        executor: the entry's quick (or full) grid, then ``overrides``."""
         import importlib
 
         name = figure if isinstance(figure, str) else f"fig{figure}"
@@ -292,12 +346,9 @@ class Session:
                 f"unknown figure {figure!r}; expected one of "
                 f"{sorted(_FIGURES)} (or 7-10)"
             )
-        module_name, attr = _FIGURES[name]
-        runner = getattr(importlib.import_module(module_name), attr)
-        kwargs = dict(overrides)
-        if quick and name != "fig7":
-            kwargs.setdefault("topologies", 4)
-            kwargs.setdefault("member_sets", 2)
+        entry = _FIGURES[name]
+        runner = getattr(importlib.import_module(entry.module), entry.runner)
+        kwargs = {**(entry.quick if quick else entry.full), **overrides}
         return runner(obs=self.obs, executor=self.executor, **kwargs)
 
     # ------------------------------------------------------------------
@@ -448,12 +499,13 @@ def build_figure(
 ):
     """Run one of the paper's figure drivers and return its result object.
 
-    ``figure`` is 7–10 (or ``"fig8"``-style names); the returned result
-    has a ``render()`` method producing the text table.  ``quick``
-    shrinks the seeding grid to 4×2 scenarios per sweep point (the CLI's
-    ``--quick``); any figure-driver keyword (``values``, ``n``,
-    ``topologies``, …) can be overridden explicitly and wins over
-    ``quick``.  ``policy`` selects the fault-tolerant
+    ``figure`` is 7–10, ``"fig8"``-style names, or one of the other
+    registered figures (``"protection"``, ``"distribution"``,
+    ``"phases"``); the returned result has a ``render()`` method
+    producing the text table.  ``quick`` runs the figure's reduced grid
+    as registered (the CLI's ``--quick``); any figure-driver keyword
+    (``values``, ``n``, ``topologies``, …) can be overridden explicitly
+    and wins over ``quick``.  ``policy`` selects the fault-tolerant
     :class:`ResilientExecutor` (mutually exclusive with ``executor``).
     ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`) streams
     observe-only live progress; mutually exclusive with ``executor``.

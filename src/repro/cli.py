@@ -46,58 +46,48 @@ Commands
 ``info``
     Version and component inventory.
 
-The run-producing commands accept ``--obs-out PATH`` to capture a
-structured run report (metric counters, span timings, event accounting)
-as JSON; ``repro obs report PATH`` renders it afterwards.  They also
-accept ``--trace-out PATH`` to record causal restoration episodes in
-simulated time (:mod:`repro.obs.tracing`) as an NDJSON trace; tracing
-is observe-only, so stdout tables stay byte-identical with or without
-it, and the confirmation line goes to stderr.
+Run flags
+---------
+The run verbs — ``figures``, ``scenario``, ``simulate``,
+``controller``/``serve``, ``protection``, ``distribution`` and
+``trace figure`` — all take one shared set of run flags:
 
-``figures``, ``controller``/``serve``, ``protection``, and
-``distribution`` additionally accept ``--profile``: the run body is
-wrapped in a ``prof.run`` span and an exclusive-self-time profile
-(where the wall clock actually went) is printed to stderr afterwards.
-``--profile`` works with or without ``--obs-out``; combined with it,
-the captured report carries the span tree plus a ``profile_wall_s``
-meta field, and ``repro obs flame REPORT`` turns it into collapsed
-stacks.  Profiling is observe-only: stdout stays byte-identical.
+- ``--obs-out PATH`` captures a structured run report (metric counters,
+  span timings, event accounting) as JSON; ``repro obs report PATH``
+  renders it afterwards.
+- ``--trace-out PATH`` records causal restoration episodes in simulated
+  time (:mod:`repro.obs.tracing`) as an NDJSON trace.
+- ``--profile`` wraps the run in a ``prof.run`` span and prints an
+  exclusive-self-time profile (where the wall clock went) to stderr.
+  Combined with ``--obs-out``, the report carries the span tree plus a
+  ``profile_wall_s`` meta field, and ``repro obs flame REPORT`` turns it
+  into collapsed stacks.
+- ``--progress``, ``--telemetry-out PATH`` and ``--openmetrics-out
+  PATH`` stream live telemetry: a stderr progress line (throughput,
+  ETA, in-flight, fault counts), an NDJSON flight record of every
+  lifecycle record and worker heartbeat (``repro obs tail`` replays
+  it), and an OpenMetrics textfile kept fresh for scraping.
+- ``--jobs N`` and ``--executor {serial,process,resilient}`` choose how
+  work units run.  ``--jobs N`` with ``N > 1`` fans them out over a
+  process pool (implying ``--executor process``); results merge
+  deterministically in input order, so parallel output is
+  byte-identical to serial output.  ``--jobs`` below 1 is rejected, as
+  is ``--executor serial`` combined with ``--jobs`` above 1.
+- ``--timeout S``, ``--retries N``, ``--checkpoint-dir DIR`` and
+  ``--resume`` select the fault-tolerant executor (each implies
+  ``--executor resilient``): every work-unit attempt runs in its own
+  worker process, a crashed or timed-out attempt is retried with
+  exponential backoff, and completed results persist to a
+  content-keyed checkpoint store so an interrupted run resumes instead
+  of restarting.  ``--inject-fault KIND:INDEX`` (testing/CI) arms a
+  deliberate crash, hang, or transient error against one work unit.
 
-Live telemetry
---------------
-``figures`` and ``scenario`` also stream while running: ``--progress``
-renders a live progress line to stderr (throughput, ETA, in-flight,
-fault counts), ``--telemetry-out PATH`` appends every lifecycle record
-(scenario started / finished / retried / timed out / crashed, worker
-heartbeats with span-stack snapshots) to an NDJSON flight record, and
-``--openmetrics-out PATH`` keeps an OpenMetrics textfile refreshed for
-node-exporter-style scraping.  All three are observe-only: stdout tables
-are byte-identical with or without them.  ``repro obs tail`` replays a
-flight record after the fact.
-
-Parallel execution
-------------------
-``figures``, ``scenario``, and ``simulate`` accept ``--jobs N`` and
-``--executor {serial,process,resilient}``.  ``--jobs N`` with ``N > 1``
-fans scenario work units out over a process pool (implying
-``--executor process``); results are merged deterministically in seed
-order, so parallel output is byte-identical to serial output.
-``--jobs`` below 1 is rejected, as is ``--executor serial`` combined
-with ``--jobs`` above 1.  A ``simulate`` run is a single discrete-event
-work unit, so it gains nothing from ``--jobs`` — the flags are accepted
-for consistency and validated the same way.
-
-Resilient execution
--------------------
-``--timeout S``, ``--retries N``, ``--checkpoint-dir DIR``, and
-``--resume`` select the fault-tolerant executor (each implies
-``--executor resilient``): every scenario attempt runs in its own worker
-process, a crashed or timed-out attempt is retried with exponential
-backoff, and completed results persist to a content-keyed checkpoint
-store so an interrupted sweep resumes instead of restarting.  Output
-stays byte-identical to a clean serial run regardless of faults.
-``--inject-fault KIND:INDEX`` (testing/CI) arms a deliberate crash,
-hang, or transient error against one work unit.
+Tracing, profiling, telemetry and the executor choice are observe-only:
+stdout tables stay byte-identical with or without them, and their
+confirmations go to stderr.  A ``simulate`` run is one discrete-event
+work unit that emits no lifecycle events; it accepts the flags all the
+same and says so.  A configuration the run rejects prints
+``repro: error: ...`` and exits 2, like an invalid flag combination.
 """
 
 from __future__ import annotations
@@ -110,34 +100,46 @@ from typing import Sequence
 import numpy as np
 
 
-def _add_executor_args(parser: argparse.ArgumentParser) -> None:
+def _add_run_args(parser: argparse.ArgumentParser, run) -> None:
+    """Declare the run flags every run verb shares; ``run`` is the verb's
+    body (see :func:`_run`)."""
+    parser.set_defaults(run=run)
+    parser.add_argument("--obs-out", metavar="PATH",
+                        help="write an observability run report (JSON)")
+    parser.add_argument("--trace-out", metavar="PATH",
+                        help="write causal restoration episodes (NDJSON)")
+    parser.add_argument(
+        "--profile", action="store_true",
+        help="wrap the run in a prof.run span and print a self-time "
+             "profile to stderr (where did the wall clock go?)",
+    )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (N > 1 implies --executor process)",
     )
     parser.add_argument(
         "--executor", choices=["serial", "process", "resilient"],
-        help="how scenario work units run (default: serial; process when "
+        help="how work units run (default: serial; process when "
              "--jobs > 1; resilient when any resilience flag is given)",
     )
     parser.add_argument(
         "--timeout", type=float, metavar="S",
-        help="per-scenario wall-clock limit in seconds; a hung attempt "
+        help="per-unit wall-clock limit in seconds; a hung attempt "
              "is killed and retried (implies --executor resilient)",
     )
     parser.add_argument(
         "--retries", type=int, metavar="N",
-        help="re-attempts per scenario after a crash, timeout, or "
+        help="re-attempts per unit after a crash, timeout, or "
              "transient error (default 2; implies --executor resilient)",
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="persist completed scenarios to a content-keyed store in DIR "
+        help="persist completed units to a content-keyed store in DIR "
              "(implies --executor resilient)",
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="serve scenarios already in --checkpoint-dir from disk "
+        help="serve units already in --checkpoint-dir from disk "
              "instead of recomputing them",
     )
     parser.add_argument(
@@ -146,7 +148,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--progress", action="store_true",
-        help="render a live progress line to stderr while the sweep runs",
+        help="render a live progress line to stderr while the run goes",
     )
     parser.add_argument(
         "--telemetry-out", metavar="PATH",
@@ -156,15 +158,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--openmetrics-out", metavar="PATH",
         help="keep an OpenMetrics textfile at PATH refreshed with live "
-             "sweep metrics (atomic replace, scrape-safe)",
-    )
-
-
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="wrap the run in a prof.run span and print a self-time "
-             "profile to stderr (where did the wall clock go?)",
+             "run metrics (atomic replace, scrape-safe)",
     )
 
 
@@ -180,28 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reduced grid (4x2 scenarios per point)")
     figures.add_argument("--figure", type=int, choices=[7, 8, 9, 10],
                          help="only this figure")
-    figures.add_argument("--obs-out", metavar="PATH",
-                         help="write an observability run report (JSON)")
-    figures.add_argument("--trace-out", metavar="PATH",
-                         help="write causal restoration episodes (NDJSON)")
-    _add_profile_arg(figures)
-    _add_executor_args(figures)
+    _add_run_args(figures, _cmd_figures)
 
+    # Scenario flags default to None: ScenarioConfig holds the defaults.
     scenario = sub.add_parser("scenario", help="run one seeded scenario")
-    scenario.add_argument("--n", type=int, default=100)
-    scenario.add_argument("--group-size", type=int, default=30)
-    scenario.add_argument("--alpha", type=float, default=0.2)
-    scenario.add_argument("--d-thresh", type=float, default=0.3)
-    scenario.add_argument("--topology-seed", type=int, default=0)
-    scenario.add_argument("--member-seed", type=int, default=0)
-    scenario.add_argument("--knowledge", choices=["full", "query"],
-                          default="full")
+    scenario.add_argument("--n", type=int)
+    scenario.add_argument("--group-size", type=int)
+    scenario.add_argument("--alpha", type=float)
+    scenario.add_argument("--d-thresh", type=float)
+    scenario.add_argument("--topology-seed", type=int)
+    scenario.add_argument("--member-seed", type=int)
+    scenario.add_argument("--knowledge", choices=["full", "query"])
     scenario.add_argument("--no-reshape", action="store_true")
-    scenario.add_argument("--obs-out", metavar="PATH",
-                          help="write an observability run report (JSON)")
-    scenario.add_argument("--trace-out", metavar="PATH",
-                          help="write causal restoration episodes (NDJSON)")
-    _add_executor_args(scenario)
+    _add_run_args(scenario, _cmd_scenario)
 
     simulate = sub.add_parser("simulate", help="message-level simulation")
     simulate.add_argument("--n", type=int, default=40)
@@ -210,12 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--d-thresh", type=float, default=0.3)
     simulate.add_argument("--fail-worst", action="store_true",
                           help="inject the first member's worst-case failure")
-    simulate.add_argument("--obs-out", metavar="PATH",
-                          help="write an observability run report (JSON)")
-    simulate.add_argument("--trace-out", metavar="PATH",
-                          help="write causal restoration episodes (NDJSON)")
-    _add_executor_args(simulate)
+    _add_run_args(simulate, _cmd_simulate)
 
+    # Service flags default to None: ServiceSpec holds the defaults, and
+    # a flag given next to --spec is detectable.
     controller = sub.add_parser(
         "controller", aliases=["serve"],
         help="host a multi-group multicast service, fail it, restore it",
@@ -225,45 +208,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="load the full ServiceSpec from a JSON file (individual "
              "spec flags below are then rejected)",
     )
-    controller.add_argument("--groups", type=int, default=200,
+    controller.add_argument("--groups", type=int,
                             help="hosted (source, group) sessions")
-    controller.add_argument("--sources", type=int, default=8,
+    controller.add_argument("--sources", type=int,
                             help="source pool size (Zipf popularity)")
-    controller.add_argument("--n", type=int, default=100)
-    controller.add_argument("--alpha", type=float, default=0.2)
-    controller.add_argument("--topology-seed", type=int, default=0)
-    controller.add_argument("--member-seed", type=int, default=0)
+    controller.add_argument("--n", type=int)
+    controller.add_argument("--alpha", type=float)
+    controller.add_argument("--topology-seed", type=int)
+    controller.add_argument("--member-seed", type=int)
     controller.add_argument(
         "--protocol",
         choices=["smrp", "spf", "protection", "hybrid", "alternate"],
-        default="smrp",
     )
     controller.add_argument(
-        "--protect-budget", type=int, default=4, metavar="F",
+        "--protect-budget", type=int, metavar="F",
         help="protected-link budget for protection/hybrid groups "
              "(backup trees precomputed for the F most-loaded tree links)",
     )
-    controller.add_argument("--d-thresh", type=float, default=0.3)
+    controller.add_argument("--d-thresh", type=float)
     controller.add_argument(
         "--workload", choices=["static", "poisson", "flash"],
-        default="static",
     )
     controller.add_argument(
-        "--failure", default="auto", metavar="MODE",
+        "--failure", metavar="MODE",
         help="none, auto (busiest hot-source link), link:U-V, or node:X",
     )
     controller.add_argument(
-        "--shard-size", type=int, default=50, metavar="N",
+        "--shard-size", type=int, metavar="N",
         help="groups per shard work unit (part of the spec: checkpoint "
              "identities do not depend on --jobs)",
     )
-    controller.add_argument("--obs-out", metavar="PATH",
-                            help="write an observability run report (JSON)")
-    controller.add_argument("--trace-out", metavar="PATH",
-                            help="write causal restoration episodes (NDJSON)")
-    _add_profile_arg(controller)
-    _add_executor_args(controller)
+    _add_run_args(controller, _cmd_controller)
 
+    # Figure flags default to None: the driver signature and the figure
+    # registry (repro.api) hold the defaults and the quick grid.
     protection = sub.add_parser(
         "protection",
         help="protection-family figure: reactive vs precomputed recovery",
@@ -271,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     protection.add_argument("--quick", action="store_true",
                             help="reduced grid (2x1 scenarios, 2 trials)")
     protection.add_argument(
-        "--budget", type=int, default=4, metavar="F",
+        "--budget", type=int, metavar="F",
         help="protected-link budget for the backup/hybrid modes",
     )
     protection.add_argument(
@@ -279,12 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="link failure rates to sweep (default 0.02 0.05 0.1; "
              "quick mode defaults to 0.02 0.1)",
     )
-    protection.add_argument("--obs-out", metavar="PATH",
-                            help="write an observability run report (JSON)")
-    protection.add_argument("--trace-out", metavar="PATH",
-                            help="write causal restoration episodes (NDJSON)")
-    _add_profile_arg(protection)
-    _add_executor_args(protection)
+    _add_run_args(protection, _cmd_protection)
 
     distribution = sub.add_parser(
         "distribution",
@@ -308,21 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     distribution.add_argument(
         "--workload", choices=["static", "poisson", "flash"],
-        default="static",
     )
     distribution.add_argument(
-        "--failure", default="auto", metavar="MODE",
+        "--failure", metavar="MODE",
         help="none, auto (busiest hot-source link), link:U-V, or node:X",
     )
     distribution.add_argument(
-        "--shard-size", type=int, default=250, metavar="N",
+        "--shard-size", type=int, metavar="N",
         help="groups per shard work unit (part of the spec: checkpoint "
              "identities do not depend on --jobs)",
     )
-    distribution.add_argument("--obs-out", metavar="PATH",
-                              help="write an observability run report (JSON)")
-    _add_profile_arg(distribution)
-    _add_executor_args(distribution)
+    _add_run_args(distribution, _cmd_distribution)
 
     obs = sub.add_parser("obs", help="observability run artifacts")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
@@ -409,11 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_figure.add_argument("--quick", action="store_true",
                               help="reduced grid (4x2 scenarios)")
-    trace_figure.add_argument(
-        "--trace-out", metavar="PATH",
-        help="also write the episodes behind the figure (NDJSON)",
-    )
-    _add_executor_args(trace_figure)
+    _add_run_args(trace_figure, _cmd_trace_figure)
 
     sub.add_parser("info", help="version and component inventory")
     return parser
@@ -421,19 +386,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "run", None) is not None:
+        return _run(args)
     handlers = {
-        "figures": _cmd_figures,
-        "scenario": _cmd_scenario,
-        "simulate": _cmd_simulate,
-        "controller": _cmd_controller,
-        "serve": _cmd_controller,
-        "protection": _cmd_protection,
-        "distribution": _cmd_distribution,
         "obs": _cmd_obs,
         "trace": _cmd_trace,
         "info": _cmd_info,
     }
     return handlers[args.command](args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """The one run path every run verb goes through.
+
+    It owns the obs, telemetry and executor set-up, the ``--profile``
+    scope, the mapping of :class:`~repro.errors.ConfigurationError` to
+    ``repro: error: …`` with exit 2, and writing the run report and the
+    trace.  The verb's body, ``args.run(args, obs, executor)``, does the
+    work, prints its tables and returns the report's meta fields.
+    """
+    from repro.errors import ConfigurationError
+
+    obs = _make_obs(args)
+    telemetry = _make_telemetry(args)
+    executor = _make_executor(args, telemetry=telemetry)
+    scope = _ProfileScope(args, obs)
+    try:
+        with scope, executor:
+            meta = args.run(args, obs, executor)
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+    meta.update(executor=executor.kind, jobs=args.jobs)
+    _write_obs_report(args, obs, scope.annotate(meta))
+    _write_trace_out(args, obs)
+    return 0
 
 
 def _make_obs(args: argparse.Namespace):
@@ -445,21 +435,18 @@ def _make_obs(args: argparse.Namespace):
     instruments disabled, so the tracer is the only live
     instrumentation.
     """
-    obs_out = getattr(args, "obs_out", None)
-    trace_out = getattr(args, "trace_out", None)
-    profile = bool(getattr(args, "profile", False))
-    if obs_out is None and trace_out is None and not profile:
+    if args.obs_out is None and args.trace_out is None and not args.profile:
         return None
     # Fail fast on an unwritable destination rather than after the run.
-    if obs_out is not None:
-        _check_out_dir("--obs-out", obs_out)
-    if trace_out is not None:
-        _check_out_dir("--trace-out", trace_out)
+    if args.obs_out is not None:
+        _check_out_dir("--obs-out", args.obs_out)
+    if args.trace_out is not None:
+        _check_out_dir("--trace-out", args.trace_out)
     from repro.obs import Observability, RestorationTracer
 
     return Observability(
-        enabled=obs_out is not None or profile,
-        tracer=RestorationTracer() if trace_out is not None else None,
+        enabled=args.obs_out is not None or args.profile,
+        tracer=RestorationTracer() if args.trace_out is not None else None,
     )
 
 
@@ -474,6 +461,14 @@ def _check_out_dir(flag: str, path: str) -> None:
         raise SystemExit(2)
 
 
+def _wants_telemetry(args: argparse.Namespace) -> bool:
+    return (
+        args.progress
+        or args.telemetry_out is not None
+        or args.openmetrics_out is not None
+    )
+
+
 def _make_telemetry(args: argparse.Namespace):
     """A TelemetryHub wired to the sinks the flags asked for, else None.
 
@@ -482,10 +477,7 @@ def _make_telemetry(args: argparse.Namespace):
     textfile exporter.  No flags, no hub — the executors then skip all
     telemetry work.
     """
-    progress = getattr(args, "progress", False)
-    telemetry_out = getattr(args, "telemetry_out", None)
-    openmetrics_out = getattr(args, "openmetrics_out", None)
-    if not progress and telemetry_out is None and openmetrics_out is None:
+    if not _wants_telemetry(args):
         return None
     from repro.obs import (
         FlightRecorder,
@@ -495,14 +487,14 @@ def _make_telemetry(args: argparse.Namespace):
     )
 
     sinks = []
-    if progress:
+    if args.progress:
         sinks.append(ProgressSink())
-    if telemetry_out is not None:
-        _check_out_dir("--telemetry-out", telemetry_out)
-        sinks.append(FlightRecorder(telemetry_out))
-    if openmetrics_out is not None:
-        _check_out_dir("--openmetrics-out", openmetrics_out)
-        sinks.append(OpenMetricsSink(openmetrics_out))
+    if args.telemetry_out is not None:
+        _check_out_dir("--telemetry-out", args.telemetry_out)
+        sinks.append(FlightRecorder(args.telemetry_out))
+    if args.openmetrics_out is not None:
+        _check_out_dir("--openmetrics-out", args.openmetrics_out)
+        sinks.append(OpenMetricsSink(args.openmetrics_out))
     return TelemetryHub(sinks=sinks)
 
 
@@ -521,14 +513,13 @@ def _make_executor(args: argparse.Namespace, telemetry=None):
     from repro.errors import ConfigurationError
     from repro.experiments.exec.executor import resolve_executor
 
-    jobs = getattr(args, "jobs", 1)
-    kind = getattr(args, "executor", None)
+    kind = args.executor
     resilience_flags = (
-        getattr(args, "timeout", None) is not None
-        or getattr(args, "retries", None) is not None
-        or getattr(args, "checkpoint_dir", None) is not None
-        or getattr(args, "resume", False)
-        or bool(getattr(args, "inject_fault", []))
+        args.timeout is not None
+        or args.retries is not None
+        or args.checkpoint_dir is not None
+        or args.resume
+        or bool(args.inject_fault)
     )
     if kind is not None and kind != "resilient" and resilience_flags:
         print(
@@ -543,20 +534,20 @@ def _make_executor(args: argparse.Namespace, telemetry=None):
             from repro.experiments.exec.resilience import ExecPolicy
 
             policy_kwargs = {}
-            if getattr(args, "timeout", None) is not None:
+            if args.timeout is not None:
                 policy_kwargs["timeout"] = args.timeout
-            if getattr(args, "retries", None) is not None:
+            if args.retries is not None:
                 policy_kwargs["retries"] = args.retries
-            if getattr(args, "checkpoint_dir", None) is not None:
+            if args.checkpoint_dir is not None:
                 policy_kwargs["checkpoint_dir"] = args.checkpoint_dir
-            policy_kwargs["resume"] = bool(getattr(args, "resume", False))
+            policy_kwargs["resume"] = args.resume
             policy = ExecPolicy(**policy_kwargs)
         # The shared combination-rule authority — the facade rejects the
         # same bad combinations with the same message text.
         executor, _ = resolve_executor(
-            kind=kind, jobs=jobs, policy=policy, telemetry=telemetry
+            kind=kind, jobs=args.jobs, policy=policy, telemetry=telemetry
         )
-        for spec in getattr(args, "inject_fault", []):
+        for spec in args.inject_fault:
             fault, sep, index = spec.partition(":")
             if not sep or not index.lstrip("-").isdigit():
                 raise ConfigurationError(
@@ -570,7 +561,7 @@ def _make_executor(args: argparse.Namespace, telemetry=None):
 
 
 def _write_obs_report(args: argparse.Namespace, obs, meta: dict) -> None:
-    if obs is None or getattr(args, "obs_out", None) is None:
+    if obs is None or args.obs_out is None:
         return
     from repro.obs import write_run_report
 
@@ -584,8 +575,7 @@ def _write_trace_out(args: argparse.Namespace, obs) -> None:
     The confirmation goes to stderr: tracing is observe-only and stdout
     must stay byte-identical to an untraced run.
     """
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is None or obs is None or obs.tracer is None:
+    if args.trace_out is None or obs is None or obs.tracer is None:
         return
     from repro.obs import write_trace_ndjson
 
@@ -593,13 +583,13 @@ def _write_trace_out(args: argparse.Namespace, obs) -> None:
     tracer.finalize()
     count = write_trace_ndjson(
         tracer.episodes,
-        trace_out,
+        args.trace_out,
         dropped=tracer.dropped,
         trimmed=tracer.trimmed,
         abandoned=tracer.abandoned,
     )
     print(
-        f"restoration trace ({count} episodes) written to {trace_out}",
+        f"restoration trace ({count} episodes) written to {args.trace_out}",
         file=sys.stderr,
     )
 
@@ -616,7 +606,7 @@ class _ProfileScope:
     """
 
     def __init__(self, args: argparse.Namespace, obs) -> None:
-        self.enabled = bool(getattr(args, "profile", False)) and obs is not None
+        self.enabled = args.profile and obs is not None
         self._obs = obs
         self._span = None
         self._start: float | None = None
@@ -655,73 +645,81 @@ class _ProfileScope:
 
 
 # ----------------------------------------------------------------------
-# Commands
+# Run verbs: each body runs inside _run and returns its report meta.
 # ----------------------------------------------------------------------
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.experiments.fig7 import run_figure7
-    from repro.experiments.fig8 import run_figure8
-    from repro.experiments.fig9 import run_figure9
-    from repro.experiments.fig10 import run_figure10
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    topologies, member_sets = (4, 2) if args.quick else (10, 10)
-    runs = {
-        7: lambda: run_figure7(topologies=5, obs=obs, executor=executor),
-        8: lambda: run_figure8(topologies=topologies, member_sets=member_sets,
-                               obs=obs, executor=executor),
-        9: lambda: run_figure9(topologies=topologies, member_sets=member_sets,
-                               obs=obs, executor=executor),
-        10: lambda: run_figure10(topologies=topologies,
-                                 member_sets=member_sets, obs=obs,
-                                 executor=executor),
+def _given(args: argparse.Namespace, names: Sequence[str]) -> dict:
+    """The flags among ``names`` that were given (not left at None)."""
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name) is not None
     }
+
+
+def _show_figure(name: str, args, obs, executor, flags: Sequence[str] = ()):
+    """Run a registered figure and print its header and table.  Of
+    ``flags``, only those given override the registry and the driver."""
+    from repro.api import _FIGURES, build_figure
+
+    result = build_figure(
+        name, quick=args.quick, executor=executor, obs=obs,
+        **_given(args, flags),
+    )
+    header = _FIGURES[name].header
+    if header is not None:
+        print(header)
+    print(result.render())
+    return result
+
+
+def _cmd_figures(args: argparse.Namespace, obs, executor) -> dict:
     figures_run = [args.figure] if args.figure else [7, 8, 9, 10]
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor:
-            for figure in figures_run:
-                print(f"--- Figure {figure} ---")
-                print(runs[figure]().render())
-                print()
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "figures",
-        "figures": figures_run,
-        "quick": bool(args.quick),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
+    for figure in figures_run:
+        _show_figure(f"fig{figure}", args, obs, executor)
+        print()
+    return {"command": "figures", "figures": figures_run, "quick": args.quick}
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
+def _cmd_protection(args: argparse.Namespace, obs, executor) -> dict:
+    result = _show_figure(
+        "protection", args, obs, executor, ("budget", "rates")
+    )
+    return {"command": "protection", "quick": args.quick, "budget": result.budget}
+
+
+def _cmd_distribution(args: argparse.Namespace, obs, executor) -> dict:
+    result = _show_figure(
+        "distribution", args, obs, executor,
+        ("engines", "groups", "workload", "failure", "shard_size"),
+    )
+    return {
+        "command": "distribution",
+        "engines": [entry.engine for entry in result.engines],
+        "groups": result.groups,
+        "quick": args.quick,
+    }
+
+
+def _cmd_trace_figure(args: argparse.Namespace, obs, executor) -> dict:
+    _show_figure("phases", args, obs, executor)
+    return {"command": "trace figure", "quick": args.quick}
+
+
+_SCENARIO_FLAGS = (
+    "n", "group_size", "alpha", "d_thresh", "topology_seed", "member_seed",
+    "knowledge",
+)
+
+
+def _cmd_scenario(args: argparse.Namespace, obs, executor) -> dict:
     from repro.experiments.scenario import ScenarioConfig
     from repro.experiments.tables import format_table
     from repro.metrics.stats import summarize
 
     config = ScenarioConfig(
-        n=args.n,
-        group_size=args.group_size,
-        alpha=args.alpha,
-        d_thresh=args.d_thresh,
-        topology_seed=args.topology_seed,
-        member_seed=args.member_seed,
-        knowledge=args.knowledge,
-        reshape_enabled=not args.no_reshape,
+        **_given(args, _SCENARIO_FLAGS), reshape_enabled=not args.no_reshape
     )
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    try:
-        with _make_executor(args, telemetry=telemetry) as executor:
-            result, = executor.map_scenarios([config], obs=obs)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+    result, = executor.map_scenarios([config], obs=obs)
     print(f"scenario: {config.describe()}")
     print(f"source {result.source}, avg degree "
           f"{result.average_degree:.2f}, reshapes {result.smrp_reshapes}, "
@@ -744,31 +742,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     print(f"Cost_relative {result.cost_relative:+.4f}")
     if result.unrecoverable_members:
         print(f"unrecoverable members: {result.unrecoverable_members}")
-    _write_obs_report(args, obs, {
-        "command": "scenario",
-        "config": config.describe(),
-        "jobs": args.jobs,
-    })
-    _write_trace_out(args, obs)
-    return 0
+    return {"command": "scenario", "config": config.describe()}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, obs, executor) -> dict:
     from repro.graph.waxman import WaxmanConfig, waxman_topology
     from repro.core.recovery import worst_case_failure
     from repro.sim.failures import FailureSchedule
     from repro.sim.protocols import SmrpSimulation
 
-    # One DES run is a single work unit; the executor flags are validated
-    # for CLI consistency but a pool would sit idle.
-    _make_executor(args).close()
+    # One DES run is a single work unit: a pool would sit idle.
     if args.jobs > 1:
         print("note: simulate is a single work unit; --jobs has no effect")
-    if (
-        getattr(args, "progress", False)
-        or getattr(args, "telemetry_out", None)
-        or getattr(args, "openmetrics_out", None)
-    ):
+    if _wants_telemetry(args):
         print("note: live telemetry covers scenario sweeps; a simulate "
               "run emits no lifecycle events")
 
@@ -780,7 +766,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         int(m)
         for m in rng.choice(range(1, args.n), args.members, replace=False)
     ]
-    obs = _make_obs(args)
     sim = SmrpSimulation(topology, 0, d_thresh=args.d_thresh, obs=obs)
     spacing = 50.0 * max(l.delay for l in topology.links())
     for i, m in enumerate(members):
@@ -809,35 +794,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"  node {record.detector}: detected at "
                   f"t={record.detected_at:.1f}, {status}")
     print(f"\nmessages: {sim.network.stats.by_kind}")
-    _write_obs_report(args, obs, {
+    return {
         "command": "simulate",
         "n": args.n,
         "members": args.members,
         "seed": args.seed,
         "d_thresh": args.d_thresh,
-        "fail_worst": bool(args.fail_worst),
-    })
-    _write_trace_out(args, obs)
-    return 0
+        "fail_worst": args.fail_worst,
+    }
 
 
-#: ``controller`` flags that mirror ServiceSpec fields, with their CLI
-#: defaults — used to reject flag/--spec mixtures instead of silently
-#: ignoring the flags.
-_CONTROLLER_SPEC_FLAGS = {
-    "groups": 200,
-    "sources": 8,
-    "n": 100,
-    "alpha": 0.2,
-    "topology_seed": 0,
-    "member_seed": 0,
-    "protocol": "smrp",
-    "d_thresh": 0.3,
-    "workload": "static",
-    "failure": "auto",
-    "shard_size": 50,
-    "protect_budget": 4,
-}
+#: ``controller`` flags that mirror ServiceSpec fields.
+_CONTROLLER_SPEC_FLAGS = (
+    "groups", "sources", "n", "alpha", "topology_seed", "member_seed",
+    "protocol", "d_thresh", "workload", "failure", "shard_size",
+    "protect_budget",
+)
 
 
 def _controller_spec(args: argparse.Namespace):
@@ -845,148 +817,32 @@ def _controller_spec(args: argparse.Namespace):
     from repro.controller import ServiceSpec
     from repro.errors import ConfigurationError
 
-    if args.spec is not None:
-        overridden = [
-            f"--{name.replace('_', '-')}"
-            for name, default in _CONTROLLER_SPEC_FLAGS.items()
-            if getattr(args, name) != default
-        ]
-        if overridden:
-            raise ConfigurationError(
-                f"--spec replaces the whole service spec; drop "
-                f"{', '.join(sorted(overridden))}"
-            )
-        try:
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                return ServiceSpec.from_json(handle.read())
-        except FileNotFoundError:
-            raise ConfigurationError(f"no such file: {args.spec}") from None
-    return ServiceSpec(
-        **{name: getattr(args, name) for name in _CONTROLLER_SPEC_FLAGS}
-    )
-
-
-def _cmd_controller(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-
+    given = _given(args, _CONTROLLER_SPEC_FLAGS)
+    if args.spec is None:
+        return ServiceSpec(**given)
+    if given:
+        flags = sorted("--" + name.replace("_", "-") for name in given)
+        raise ConfigurationError(
+            f"--spec replaces the whole service spec; drop {', '.join(flags)}"
+        )
     try:
-        spec = _controller_spec(args)
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor:
-            from repro.api import run_service
+        with open(args.spec, "r", encoding="utf-8") as handle:
+            return ServiceSpec.from_json(handle.read())
+    except FileNotFoundError:
+        raise ConfigurationError(f"no such file: {args.spec}") from None
 
-            report = run_service(spec, executor=executor, obs=obs)
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
+
+def _cmd_controller(args: argparse.Namespace, obs, executor) -> dict:
+    from repro.api import run_service
+
+    spec = _controller_spec(args)
+    report = run_service(spec, executor=executor, obs=obs)
     print(report.render_table())
-    _write_obs_report(args, obs, scope.annotate({
+    return {
         "command": "controller",
         "spec": spec.describe(),
         "key": spec.content_key(),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
-
-
-def _cmd_protection(args: argparse.Namespace) -> int:
-    from repro.experiments.figprotect import run_protection_figure
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    if args.quick:
-        kwargs = {
-            "rates": (0.02, 0.1),
-            "n": 40,
-            "group_size": 8,
-            "topologies": 2,
-            "member_sets": 1,
-            "trials": 2,
-        }
-    else:
-        kwargs = {}
-    if args.rates:
-        kwargs["rates"] = tuple(args.rates)
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor:
-            result = run_protection_figure(
-                budget=args.budget, obs=obs, executor=executor, **kwargs
-            )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print("--- Protection family: reactive vs precomputed recovery ---")
-    print(result.render())
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "protection",
-        "quick": bool(args.quick),
-        "budget": args.budget,
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
-
-
-def _cmd_distribution(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-    from repro.experiments.figdist import ENGINES, run_distribution_figure
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    if args.engines:
-        engines = tuple(args.engines)
-    elif args.quick:
-        engines = ("smrp", "spf")
-    else:
-        engines = ENGINES
-    if args.groups is not None:
-        groups = args.groups
-    else:
-        groups = 1000 if args.quick else 2000
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor:
-            result = run_distribution_figure(
-                engines=engines,
-                groups=groups,
-                workload=args.workload,
-                failure=args.failure,
-                shard_size=args.shard_size,
-                obs=obs,
-                executor=executor,
-            )
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(result.render())
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "distribution",
-        "engines": list(engines),
-        "groups": groups,
-        "quick": bool(args.quick),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    return 0
+    }
 
 
 def _load_report_or_fail(path: str):
@@ -1138,7 +994,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "analyze": _cmd_trace_analyze,
         "export": _cmd_trace_export,
         "diff": _cmd_trace_diff,
-        "figure": _cmd_trace_figure,
     }
     try:
         return handlers[args.trace_command](args)
@@ -1222,30 +1077,6 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figphases import run_phase_figure
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    topologies, member_sets = (4, 2) if args.quick else (10, 10)
-    try:
-        with executor:
-            result = run_phase_figure(
-                topologies=topologies,
-                member_sets=member_sets,
-                obs=obs,
-                executor=executor,
-            )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print("--- Restoration latency breakdown by phase ---")
-    print(result.render())
-    _write_trace_out(args, obs)
-    return 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     import repro
 
@@ -1271,13 +1102,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
     ]
     for name, description in components:
         print(f"  {name:24} {description}")
-    print("\nparallel execution: figures/scenario/simulate accept "
-          "--jobs N and --executor {serial,process,resilient};\n"
-          "  --jobs N > 1 fans scenarios over a process pool with "
-          "deterministic seed-order merging.\n"
+    print("\nrun flags — one set, shared by every run verb (figures, "
+          "scenario, simulate,\n"
+          "  controller/serve, protection, distribution, trace figure):\n"
+          "parallel execution: --jobs N and --executor "
+          "{serial,process,resilient};\n"
+          "  --jobs N > 1 fans work units over a process pool with "
+          "deterministic merging.\n"
           "resilient execution: --timeout S, --retries N, "
           "--checkpoint-dir DIR, --resume;\n"
-          "  crashed/hung scenarios are retried with backoff and completed "
+          "  crashed/hung units are retried with backoff and completed "
           "results persist for resume,\n"
           "  with output byte-identical to a clean serial run.\n"
           "live telemetry: --progress (stderr progress line), "
@@ -1286,18 +1120,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
           "observe-only.  repro obs tail/export/diff\n"
           "  replay a flight record, render OpenMetrics, and compare two "
           "run reports.\n"
-          "restoration tracing: --trace-out PATH records causal "
-          "restoration episodes in simulated time;\n"
-          "  repro trace analyze/export/diff/figure render per-phase "
-          "latency breakdowns, Perfetto-loadable\n"
-          "  Chrome trace JSON, analysis diffs, and the "
-          "latency-by-phase figure.\n"
-          "latency distributions & profiling: repro distribution prints "
-          "per-engine p50/p90/p99/p99.9\n"
-          "  restoration-latency tables from hdr histograms; --profile "
-          "prints a self-time profile to stderr;\n"
-          "  repro obs flame turns a captured report into collapsed "
-          "stacks for flamegraph tooling.")
+          "run reports and tracing: --obs-out PATH writes a JSON run "
+          "report; --trace-out PATH records\n"
+          "  causal restoration episodes in simulated time; repro trace "
+          "analyze/export/diff/figure render\n"
+          "  per-phase latency breakdowns, Perfetto-loadable Chrome trace "
+          "JSON, analysis diffs, and the\n"
+          "  latency-by-phase figure.\n"
+          "profiling: --profile prints a self-time profile to stderr; "
+          "repro obs flame turns a captured\n"
+          "  report into collapsed stacks for flamegraph tooling.\n"
+          "latency distributions: repro distribution prints per-engine "
+          "p50/p90/p99/p99.9\n"
+          "  restoration-latency tables from hdr histograms.")
     return 0
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import (
     AlreadyMemberError,
     ConfigurationError,
+    JoinRejectedError,
     NotMemberError,
 )
 from repro.graph.topology import NodeId, Topology
@@ -185,6 +186,8 @@ class SMRPProtocol:
             self.stats.joins += 1
             self._c_joins.inc()
             if self.tree.is_on_tree(member):
+                if not self.config.allow_fallback:
+                    self._check_relay_bound(member, failures)
                 self.tree.add_member(member)
                 self.state.notify_graft([member])
                 self._after_membership_change()
@@ -209,21 +212,9 @@ class SMRPProtocol:
                     failures=failures,
                     obs=self.obs,
                 )
-            if self.route_cache is not None:
-                spf = self.route_cache.shortest_paths(
-                    self.topology,
-                    member,
-                    weight="delay",
-                    failures=failures,
-                    obs=self.obs,
-                )
-            else:
-                spf = dijkstra(
-                    self.topology, member, weight="delay", failures=failures
-                )
             selection = select_path(
                 candidates,
-                spf.distance(self.source),
+                self._spf_delay(member, failures),
                 self.config.d_thresh,
                 allow_fallback=self.config.allow_fallback,
             )
@@ -239,6 +230,34 @@ class SMRPProtocol:
             self._c_msg_join.inc(len(graft) - 1)
             self._after_membership_change()
             return selection
+
+    def _spf_delay(self, member: NodeId, failures: FailureSet) -> float:
+        """``D^{SPF}_{S,NR}``: the member's unicast delay to the source."""
+        if self.route_cache is not None:
+            spf = self.route_cache.shortest_paths(
+                self.topology,
+                member,
+                weight="delay",
+                failures=failures,
+                obs=self.obs,
+            )
+        else:
+            spf = dijkstra(
+                self.topology, member, weight="delay", failures=failures
+            )
+        return spf.distance(self.source)
+
+    def _check_relay_bound(self, member: NodeId, failures: FailureSet) -> None:
+        """Without fallback, an on-tree relay may become a member only
+        within the delay bound, as a graft must."""
+        bound = (1.0 + self.config.d_thresh) * self._spf_delay(member, failures)
+        delay = self.tree.delay_from_source(member)
+        if delay > bound + 1e-12:
+            raise JoinRejectedError(
+                member,
+                f"on-tree relay delay {delay:.3f} exceeds the delay bound "
+                f"{bound:.3f}",
+            )
 
     def leave(self, member: NodeId) -> LeaveOutcome:
         """Process a member departure (``Leave_Req`` walk, §3.2.2)."""

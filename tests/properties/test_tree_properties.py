@@ -1,7 +1,7 @@
 """Property tests: tree invariants survive arbitrary operation sequences."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import JoinRejectedError, UnrecoverableFailureError
 from repro.graph.waxman import WaxmanConfig, waxman_topology
@@ -68,6 +68,9 @@ class TestOperationSequences:
 
     @settings(max_examples=20, deadline=None)
     @given(operation_sequences())
+    # Node 17 is a relay on member 6's graft; promoting it to member
+    # used to skip the delay bound.
+    @example((66, [(True, 1), (True, 6), (True, 17)], 0.2))
     def test_delay_bound_for_non_fallback_joins(self, case):
         seed, ops, d_thresh = case
         topology = make_topology(seed)

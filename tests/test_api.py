@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade and the legacy-import deprecation shims."""
+"""The ``repro.api`` facade."""
 
 import warnings
 
@@ -90,6 +90,31 @@ class TestBuildFigure:
         with pytest.raises(ConfigurationError, match="unknown figure"):
             build_figure(11)
 
+    #: Per-figure overrides that keep each quick grid tiny.
+    TINY = {
+        "fig7": dict(topologies=1, n=24, group_size=5, alpha=0.5),
+        "fig8": dict(values=[0.3], n=24, group_size=5, alpha=0.5),
+        "fig9": dict(values=[0.5], n=24, group_size=5),
+        "fig10": dict(values=[5], n=24, alpha=0.5),
+        "protection": dict(rates=(0.1,), n=24, group_size=5),
+        "distribution": dict(groups=4, shard_size=2, n=30),
+        "phases": dict(n=24, group_size=5, alpha=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(api._FIGURES))
+    def test_every_registered_figure_runs_quick(self, name):
+        result = build_figure(name, quick=True, **self.TINY[name])
+        assert result.render()
+
+    def test_protection_cli_prints_the_registry_figure(self, capsys):
+        from repro.cli import main
+
+        assert main(["protection", "--quick"]) == 0
+        out = capsys.readouterr().out
+        expected = build_figure("protection", quick=True).render()
+        header = api._FIGURES["protection"].header
+        assert out == f"{header}\n{expected}\n"
+
 
 class TestSession:
     SERVICE = ServiceSpec(n=50, groups=6, sources=3, shard_size=3)
@@ -162,42 +187,14 @@ class TestSession:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "name",
-        ["ScenarioConfig", "run_scenario", "run_sweep", "run_figure8",
-         "SweepPoint", "SubstrateCache", "make_executor", "ExecPolicy",
-         "CheckpointStore", "ResilientExecutor"],
-    )
-    def test_legacy_import_warns_and_resolves(self, name):
-        import repro.experiments as experiments
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attr = getattr(experiments, name)
-        assert attr is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        )
-
-    def test_legacy_objects_are_the_real_ones(self):
-        import repro.experiments as experiments
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert experiments.ScenarioConfig is ScenarioConfig
+    """The ``repro.experiments`` re-export shims are gone; the package
+    and its submodules still import cleanly."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.experiments as experiments
 
         with pytest.raises(AttributeError):
             experiments.does_not_exist
-
-    def test_dir_lists_legacy_names(self):
-        import repro.experiments as experiments
-
-        assert "run_figure10" in dir(experiments)
 
     def test_submodule_imports_unaffected(self):
         with warnings.catch_warnings():

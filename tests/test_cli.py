@@ -122,6 +122,25 @@ class TestExecutorFlags:
         assert "repro.api" in out
 
 
+class TestRunErrors:
+    """Every run verb maps a rejected configuration to one contract."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["scenario", "--group-size", "0"], id="scenario-group-size"),
+        pytest.param(["protection", "--quick", "--budget", "-1"],
+                     id="protection-budget"),
+        pytest.param(["protection", "--quick", "--rates", "0"],
+                     id="protection-rates"),
+        pytest.param(["distribution", "--groups", "0"], id="distribution-groups"),
+        pytest.param(["controller", "--groups", "0"], id="controller-groups"),
+    ])
+    def test_bad_configuration_is_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "Traceback" not in err
+
+
 class TestObs:
     def test_report_requires_path(self):
         with pytest.raises(SystemExit):
@@ -361,14 +380,19 @@ class TestTrace:
         return path
 
     def test_trace_out_is_observe_only(self, capsys, tmp_path):
-        assert main(self.SCENARIO) == 0
-        plain = capsys.readouterr().out
-        path = str(tmp_path / "trace.ndjson")
-        assert main(self.SCENARIO + ["--trace-out", path]) == 0
-        captured = capsys.readouterr()
-        # Stdout byte-identical; the confirmation goes to stderr.
-        assert captured.out == plain
-        assert path in captured.err
+        distribution = [
+            "distribution", "--engines", "smrp", "--groups", "30",
+            "--shard-size", "8",
+        ]
+        for argv in (self.SCENARIO, distribution):
+            assert main(argv) == 0
+            plain = capsys.readouterr().out
+            path = str(tmp_path / f"{argv[0]}.ndjson")
+            assert main(argv + ["--trace-out", path]) == 0
+            captured = capsys.readouterr()
+            # Stdout byte-identical; the confirmation goes to stderr.
+            assert captured.out == plain
+            assert path in captured.err
 
     def test_trace_out_writes_loadable_ndjson(self, capsys, tmp_path):
         import json
