@@ -341,7 +341,7 @@ class SMRPProtocol:
             )
             if decision.performed:
                 apply_reshape(self.tree, decision)
-                self.state.notify_move(node)
+                self.state.notify_move(node, list(decision.new_path))
                 self.stats.reshapes_performed += 1
                 self._c_reshapes.inc()
                 if self.config.self_check:

@@ -559,41 +559,35 @@ def surviving_subtree(tree: MulticastTree, failures: FailureSet) -> MulticastTre
 
 
 def _surviving_subtree(tree: MulticastTree, failures: FailureSet) -> MulticastTree:
-    """Copy of the tree restricted to the component still fed by the source."""
+    """Copy of the tree restricted to the component still fed by the source.
+
+    Only branches that still serve a surviving member are copied: relays
+    whose entire subtree was detached are left out, as their soft state
+    would time out.
+    """
     surviving = tree.surviving_component(failures)
+    members = [m for m in tree.members if m in surviving]
+    # The surviving component is closed toward the source, so every
+    # surviving member's on-tree path lies inside it.
+    feeding = {tree.source}
+    for member in members:
+        cursor = member
+        while cursor not in feeding:
+            feeding.add(cursor)
+            cursor = tree.parent(cursor)
     rebuilt = MulticastTree(tree.topology, tree.source)
     # Graft surviving branches in breadth-first order so parents exist first.
     frontier = [tree.source]
     while frontier:
         node = frontier.pop(0)
         for child in tree.children(node):
-            if child not in surviving:
+            if child not in feeding:
                 continue
             rebuilt.graft([node, child], member=False)
             frontier.append(child)
-    for member in tree.members:
-        if member in surviving:
-            rebuilt.add_member(member)
-    # Trim surviving relays whose entire subtree was detached.
-    _trim_dead_leaves(rebuilt)
+    for member in members:
+        rebuilt.add_member(member)
     return rebuilt
-
-
-def _trim_dead_leaves(tree: MulticastTree) -> None:
-    """Remove relay leaves left behind after a partition copy."""
-    changed = True
-    while changed:
-        changed = False
-        for node in tree.on_tree_nodes():
-            if node == tree.source:
-                continue
-            if not tree.children(node) and not tree.is_member(node):
-                parent = tree.parent(node)
-                assert parent is not None
-                tree._children[parent].discard(node)  # noqa: SLF001
-                del tree._parent[node]  # noqa: SLF001
-                del tree._children[node]  # noqa: SLF001
-                changed = True
 
 
 def _already_connected(

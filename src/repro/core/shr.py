@@ -21,13 +21,18 @@ Both forms are implemented; a property test asserts they agree on
 arbitrary trees (this is exactly the identity the distributed protocol
 relies on to maintain SHR with only neighbor message exchange).
 
-Large trees evaluate through :class:`TreeArrays`, an int-indexed
-snapshot over which subtree counts, SHR, and adjusted SHR run as
-per-depth-level numpy sweeps instead of per-node dict walks.  The dict
-walks remain the executable reference — every table builder takes a
-``vectorized`` override, dispatches on tree size by default, and the
-array path materializes dictionaries with the *same values and the same
-insertion order* as the reference (a property suite pins this).
+The tree itself maintains ``N_R`` per node and caches the Equation (2)
+table per mutation version (:meth:`MulticastTree.shr_values
+<repro.multicast.tree.MulticastTree.shr_values>`); the table builders
+below read that state on small trees.  Large trees evaluate through
+:class:`TreeArrays`, an int-indexed snapshot over which subtree counts,
+SHR, and adjusted SHR run as per-depth-level numpy sweeps instead of
+per-node dict walks.  :func:`shr_incremental` and
+:func:`subtree_member_counts` recount from scratch and remain the
+executable reference — every table builder takes a ``vectorized``
+override, dispatches on tree size by default, and both paths produce
+dictionaries with the *same values and the same insertion order* as the
+reference (property suites pin this).
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ class TreeArrays:
     per depth level — ``np.add.at`` pushing counts up a level, a gather
     pulling SHR down a level — instead of one dict operation per node.
 
-    Snapshots are throwaway: the tree carries no version token, so each
-    table build captures fresh arrays (still linear, and the arithmetic
-    afterwards is what the dict walks made quadratic-ish in constant
-    factors).
+    Snapshots are throwaway: each table build captures fresh arrays
+    (linear) and recounts ``N_R`` and SHR over them, because the level
+    sweeps need them in index space.  The dict path instead reads the
+    counts and the SHR table the tree maintains per
+    :attr:`~repro.multicast.tree.MulticastTree.version`.
     """
 
     __slots__ = (
@@ -277,7 +283,7 @@ def shr_table(
     use_arrays = _use_arrays(tree, vectorized)
     _count_shr_call(obs, use_arrays)
     if not use_arrays:
-        return shr_incremental(tree)
+        return dict(tree.shr_values())
     arrays = TreeArrays(tree)
     values = arrays.shr().tolist()
     nodes = arrays.nodes
@@ -304,14 +310,13 @@ def link_utilisation(
             a, b = (node, parent) if node <= parent else (parent, node)
             utilisation[(a, b)] = counts[i]
         return utilisation
-    counts_by_node = subtree_member_counts(tree)
     utilisation = {}
     for node in tree.on_tree_nodes():
         parent = tree.parent(node)
         if parent is None:
             continue
         a, b = (node, parent) if node <= parent else (parent, node)
-        utilisation[(a, b)] = counts_by_node[node]
+        utilisation[(a, b)] = tree.subtree_member_count(node)
     return utilisation
 
 
@@ -322,25 +327,26 @@ def adjusted_shr_table(
     vectorized: bool | None = None,
     obs=None,
 ) -> dict[NodeId, int]:
-    """:func:`shr_excluding_subtree` for *every* on-tree node, in one pass.
+    """:func:`shr_excluding_subtree` for *every* on-tree node at once.
 
     Reshape evaluation (§3.2.3) needs the adjusted SHR of each potential
     merge point; calling :func:`shr_excluding_subtree` per node repeats
     the path walk and subtree count for every candidate — quadratic per
-    evaluation, and the dominant cost of a reshaping build.  One traversal
-    suffices: SHR follows the Equation (2) recurrence, and the overlap
-    between a node's on-tree path and the mover's is itself incremental
-    (``overlap(child) = overlap(node) + [child on mover's path]``), so
+    evaluation, and the dominant cost of a reshaping build.  With
+    ``overlap(R)`` the number of nodes the on-tree paths ``S → R`` and
+    ``S → mover`` share (S excluded),
 
     ``adjusted(R) = SHR_{S,R} − N_mover × overlap(R)``
 
-    is computed top-down in linear time.  Values agree exactly with the
-    per-node form (a property test pins this); the mover's own subtree is
-    included in the result — callers exclude it, as they already must.
+    which is nonzero only inside the subtree of the mover's first hop.
+    Values agree exactly with the per-node form (a property test pins
+    this); the mover's own subtree is included in the result — callers
+    exclude it, as they already must.
 
     ``vectorized`` / ``obs`` dispatch and account exactly as in
-    :func:`shr_table`; the array path runs the same recurrences as
-    level sweeps over a :class:`TreeArrays` snapshot.
+    :func:`shr_table`; the dict path starts from the tree's cached SHR
+    table, and the array path runs the same recurrences as level sweeps
+    over a :class:`TreeArrays` snapshot.
     """
     if not tree.is_on_tree(mover):
         raise NotOnTreeError(mover)
@@ -355,20 +361,15 @@ def adjusted_shr_table(
         ).tolist()
         nodes = arrays.nodes
         return {nodes[i]: values[i] for i in arrays.insertion_order()}
-    counts = subtree_member_counts(tree)
-    moving_members = counts[mover]
-    mover_path = set(tree.path_from_source(mover)[1:])  # exclude S
-    adjusted: dict[NodeId, int] = {tree.source: 0}
-    shr: dict[NodeId, int] = {tree.source: 0}
-    overlap: dict[NodeId, int] = {tree.source: 0}
-    stack = [tree.source]
-    while stack:
-        node = stack.pop()
-        for child in tree.children(node):
-            shr[child] = shr[node] + counts[child]
-            overlap[child] = overlap[node] + (1 if child in mover_path else 0)
-            adjusted[child] = shr[child] - moving_members * overlap[child]
-            stack.append(child)
+    # overlap(R) counts the nodes R' of S → mover whose subtree holds R:
+    # subtract N_mover once per such subtree.  Values change in place, so
+    # the insertion order stays the cached table's.
+    adjusted = dict(tree.shr_values())
+    moving_members = tree.subtree_member_count(mover)
+    if moving_members:
+        for on_path in tree.path_from_source(mover)[1:]:  # exclude S
+            for node in tree.subtree_nodes(on_path):
+                adjusted[node] -= moving_members
     return adjusted
 
 

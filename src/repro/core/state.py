@@ -9,10 +9,17 @@ Each on-tree node ``R`` maintains:
 - ``SHR^{old}_{S,R_u}`` — the upstream SHR recorded at the last reshape,
   used by reshaping Condition I.
 
-The :class:`StateManager` maintains this state for every on-tree node and
-*accounts for the control messages* the distributed protocol would spend
-keeping it consistent.  Two maintenance modes implement the design choice
-discussed in §3.3.2:
+The first three follow from the tree's shape, and the
+:class:`~repro.multicast.tree.MulticastTree` itself keeps them: ``N_R``
+is updated along the path to the source by every mutation, and the SHR
+table is cached per mutation version.  The :class:`StateManager` owns
+only what the shape does not determine — each node's Condition-I
+baseline, set when the node gains a new upstream (it is grafted, or it
+or its new path is moved in) and reset when it reshapes — and *accounts
+for the control messages* the distributed protocol would spend keeping
+the state consistent.  :meth:`StateManager.state_of` assembles a node's
+full state block on demand.  Two maintenance modes implement the design
+choice discussed in §3.3.2:
 
 ``eager``
     Every membership change immediately propagates: ``N`` updates travel
@@ -26,10 +33,11 @@ discussed in §3.3.2:
     path from the queried node to the source ("the maintenance overhead is
     amortized into each member's join process").
 
-Both modes always *answer* queries with values consistent with the current
-tree (the deferred mode recomputes on demand), so protocol behaviour is
-identical — only the message accounting differs.  The overhead ablation
-bench compares the two counters.
+Both modes run the same state-maintenance code and always *answer*
+queries with values consistent with the current tree, so protocol
+behaviour is identical — only the message accounting (``shr_pushes``
+versus ``shr_pulls``) differs.  The overhead ablation bench compares the
+two counters.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from repro.errors import NotOnTreeError, ConfigurationError
 from repro.graph.topology import NodeId
 from repro.multicast.tree import MulticastTree
 from repro.obs import NULL_OBS, Observability
-from repro.core.shr import shr_incremental, subtree_member_counts
 
 
 @dataclass
@@ -83,7 +90,8 @@ class StateManager:
     ----------
     tree:
         The tree whose state is being maintained.  The manager reads the
-        tree but never mutates it.
+        tree but never mutates it; every mutation must be followed by the
+        matching ``notify_*`` call.
     mode:
         ``"eager"`` or ``"deferred"`` (see module docstring).
     """
@@ -103,52 +111,45 @@ class StateManager:
         self._c_n_updates = obs.counter("smrp.state.n_updates")
         self._c_shr_pushes = obs.counter("smrp.state.shr_pushes")
         self._c_shr_pulls = obs.counter("smrp.state.shr_pulls")
-        self.states: dict[NodeId, SmrpNodeState] = {}
-        self._shr_dirty = True
-        self.rebuild()
+        # (R_u, SHR^{old}_{S,R_u}) per on-tree node.  Entries of nodes
+        # that left the tree are stale and never read: every way back onto
+        # the tree sets a new one.
+        self._baseline: dict[NodeId, tuple[NodeId, int]] = {}
+        # Deferred mode: SHR changed since the last pull.
+        self._shr_dirty = False
+        self.rebind(tree)
 
     # ------------------------------------------------------------------
     # Bulk (re)construction
     # ------------------------------------------------------------------
-    def rebuild(self) -> None:
-        """Recompute every node's state from the tree (no message charge).
-
-        Used at initialisation and after operations whose message cost is
-        charged separately (graft/prune/move notifications).
-        """
-        counts = subtree_member_counts(self.tree)
-        shr = shr_incremental(self.tree)
-        old = self.states
-        self.states = {}
-        for node in self.tree.on_tree_nodes():
-            upstream = self.tree.parent(node)
-            state = SmrpNodeState(
-                node=node,
-                upstream=upstream,
-                n_r=counts[node],
-                n_per_interface={
-                    child: counts[child] for child in self.tree.children(node)
-                },
-                shr=shr[node],
-            )
-            # Preserve the Condition-I baseline across rebuilds.
-            if node in old and old[node].upstream == upstream:
-                state.shr_old_upstream = old[node].shr_old_upstream
-            elif upstream is not None:
-                state.shr_old_upstream = shr[upstream]
-            self.states[node] = state
-        self._shr_dirty = False
-
     def rebind(self, tree: MulticastTree) -> None:
         """Re-anchor the manager to a replacement tree (session repair).
 
-        Cumulative message counters and surviving nodes' Condition-I
-        baselines carry over; the rebuild itself carries no message
+        Cumulative message counters carry over, and so does the
+        Condition-I baseline of every node that sat on the previous tree
+        under the same upstream; every other node starts from its
+        upstream's current SHR.  The rebuild itself carries no message
         charge — restoration signaling is accounted by the recovery path
         that produced the replacement tree.
         """
-        self.tree = tree
-        self.rebuild()
+        previous, self.tree = self.tree, tree
+        shr = tree.shr_values()
+        old = self._baseline
+        self._baseline = {}
+        for node in tree.on_tree_nodes():
+            upstream = tree.parent(node)
+            if upstream is None:
+                continue
+            entry = old.get(node)
+            if (
+                entry is not None
+                and entry[0] == upstream
+                and previous.is_on_tree(node)
+            ):
+                self._baseline[node] = entry
+            else:
+                self._baseline[node] = (upstream, shr[upstream])
+        self._shr_dirty = False
 
     # ------------------------------------------------------------------
     # Event notifications (message accounting)
@@ -160,138 +161,117 @@ class StateManager:
         the state cost is: ``N`` increments hop-by-hop from the merge node
         to the source, plus — in eager mode — SHR refresh pushed into every
         subtree whose SHR changed (every node below any ancestor of the
-        merge node).
+        merge node).  Every node past the merge node gained an upstream.
         """
-        merge = graft_path[0]
-        depth = len(self.tree.path_from_source(merge)) - 1
-        self.counters.n_updates += depth
-        self._c_n_updates.inc(depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(merge)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(graft_path[0], 1)
+        self._new_upstream(graft_path[1:])
 
     def notify_prune(self, pruned_from: NodeId) -> None:
         """Account for a leave whose ``Leave_Req`` stopped at ``pruned_from``."""
-        depth = len(self.tree.path_from_source(pruned_from)) - 1
-        self.counters.n_updates += depth
-        self._c_n_updates.inc(depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(pruned_from)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(pruned_from, 1)
 
-    def notify_move(self, mover: NodeId) -> None:
+    def notify_move(self, mover: NodeId, new_path: list[NodeId]) -> None:
         """Account for a reshape/recovery path switch at ``mover``.
 
-        Charged as a prune at the old attachment plus a graft at the new
-        one; both attachments are read from the *current* (post-move) tree,
-        so callers invoke this after mutating the tree.
+        ``new_path`` is the path the mover now hangs from (merge node
+        first, ``mover`` last).  Charged as a prune at the old attachment
+        plus a graft at the new one; both attachments are read from the
+        *current* (post-move) tree, so callers invoke this after mutating
+        the tree.  The new path's interior nodes gained an upstream, and
+        so did the mover unless it re-attached under its old one.
         """
         parent = self.tree.parent(mover)
-        anchor = parent if parent is not None else mover
-        depth = len(self.tree.path_from_source(anchor)) - 1
-        self.counters.n_updates += 2 * depth
-        self._c_n_updates.inc(2 * depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(anchor)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(parent if parent is not None else mover, 2)
+        fresh = new_path[1:-1]
+        if self._baseline[mover][0] != parent:
+            fresh.append(mover)
+        self._new_upstream(fresh)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def state_of(self, node: NodeId) -> SmrpNodeState:
-        try:
-            return self.states[node]
-        except KeyError:
-            raise NotOnTreeError(node) from None
+        """The state block ``node`` keeps, assembled from the tree."""
+        tree = self.tree
+        upstream = tree.parent(node)  # raises NotOnTreeError off the tree
+        return SmrpNodeState(
+            node=node,
+            upstream=upstream,
+            n_r=tree.subtree_member_count(node),
+            n_per_interface=tree.downstream_interface_counts(node),
+            shr=tree.shr_values()[node],
+            shr_old_upstream=(
+                0 if upstream is None else self._baseline[node][1]
+            ),
+        )
 
     def shr(self, node: NodeId) -> int:
-        """``SHR_{S,node}``, recomputing lazily in deferred mode.
+        """``SHR_{S,node}``; charged as a pull in deferred mode.
 
         In deferred mode the recomputation walks the path from the source
         to the node, one pull message per hop (§3.3.2).
         """
-        if node not in self.states:
+        if not self.tree.is_on_tree(node):
             raise NotOnTreeError(node)
         if self._shr_dirty:
-            if self.mode == "deferred":
-                pulled = len(self.tree.path_from_source(node)) - 1
-                self.counters.shr_pulls += pulled
-                self._c_shr_pulls.inc(pulled)
-            self._refresh_shr()
-        return self.states[node].shr
+            self._pull(len(self.tree.path_from_source(node)) - 1)
+        return self.tree.shr_values()[node]
 
     def shr_snapshot(self) -> dict[NodeId, int]:
-        """All SHR values (forces a refresh in deferred mode).
+        """All SHR values (charged as a refresh in deferred mode).
 
         Charged as one pull per on-tree link: a full tree walk answers
         every node at once.
         """
         if self._shr_dirty:
-            if self.mode == "deferred":
-                pulled = max(len(self.states) - 1, 0)
-                self.counters.shr_pulls += pulled
-                self._c_shr_pulls.inc(pulled)
-            self._refresh_shr()
-        return {node: st.shr for node, st in self.states.items()}
+            self._pull(max(len(self.tree) - 1, 0))
+        return dict(self.tree.shr_values())
 
     def record_reshape_baseline(self, node: NodeId) -> None:
         """Store ``SHR^{old}_{S,R_u}`` at ``node`` after a reshape decision."""
-        state = self.state_of(node)
-        if state.upstream is not None:
-            state.shr_old_upstream = self.shr(state.upstream)
+        upstream = self.tree.parent(node)
+        if upstream is not None:
+            self._baseline[node] = (upstream, self.shr(upstream))
 
     def condition_i_delta(self, node: NodeId) -> int:
         """``SHR_{S,R_u} − SHR^{old}_{S,R_u}`` as seen by ``node``."""
-        state = self.state_of(node)
-        if state.upstream is None:
+        upstream = self.tree.parent(node)
+        if upstream is None:
             return 0
-        return self.shr(state.upstream) - state.shr_old_upstream
+        return self.shr(upstream) - self._baseline[node][1]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _refresh_shr(self) -> None:
-        shr = shr_incremental(self.tree)
-        for node, value in shr.items():
-            if node in self.states:
-                self.states[node].shr = value
+    def _charge(self, anchor: NodeId, times: int) -> None:
+        """Charge the messages of ``times`` ``N`` changes on ``S → anchor``.
+
+        ``N`` updates travel hop by hop to the source; the SHR change they
+        cause is pushed at once in eager mode and pulled on the next query
+        in deferred mode.
+        """
+        depth = len(self.tree.path_from_source(anchor)) - 1
+        self.counters.n_updates += times * depth
+        self._c_n_updates.inc(times * depth)
+        if self.mode == "eager":
+            pushed = self._changed_subtree_size(anchor)
+            self.counters.shr_pushes += pushed
+            self._c_shr_pushes.inc(pushed)
+        else:
+            self._shr_dirty = True
+
+    def _pull(self, pulled: int) -> None:
+        self.counters.shr_pulls += pulled
+        self._c_shr_pulls.inc(pulled)
         self._shr_dirty = False
 
-    def _rebuild_counts_only(self) -> None:
-        """Synchronise node set and N counters without touching SHR."""
-        counts = subtree_member_counts(self.tree)
-        old = self.states
-        self.states = {}
-        for node in self.tree.on_tree_nodes():
-            upstream = self.tree.parent(node)
-            previous = old.get(node)
-            state = SmrpNodeState(
-                node=node,
-                upstream=upstream,
-                n_r=counts[node],
-                n_per_interface={
-                    child: counts[child] for child in self.tree.children(node)
-                },
-                shr=previous.shr if previous else 0,
-            )
-            if previous is not None and previous.upstream == upstream:
-                state.shr_old_upstream = previous.shr_old_upstream
-            self.states[node] = state
+    def _new_upstream(self, nodes: list[NodeId]) -> None:
+        """Start the Condition-I baseline of nodes that gained an upstream."""
+        tree = self.tree
+        shr = tree.shr_values()
+        for node in nodes:
+            upstream = tree.parent(node)
+            self._baseline[node] = (upstream, shr[upstream])
 
     def _changed_subtree_size(self, anchor: NodeId) -> int:
         """Nodes whose SHR changes when ``N`` changed on the path S→anchor.

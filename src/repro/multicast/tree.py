@@ -18,6 +18,13 @@ built from:
   paths, subtree member counts, link/cost/delay aggregates, and the
   partition induced by a failure.
 
+The tree keeps the SMRP per-node state that follows from its shape
+incrementally, as the distributed protocol does (§3.2.1): ``N_R`` for
+every on-tree node is updated only along the path to the source of each
+mutation, and the Equation (2) SHR table is cached per mutation
+:attr:`~MulticastTree.version`, so neither is ever recounted from
+scratch between two mutations.
+
 All mutators validate their inputs against the topology and the current
 tree, and the structure can always be re-checked with
 :func:`repro.multicast.validation.check_tree_invariants`.
@@ -52,6 +59,12 @@ class MulticastTree:
         self._parent: dict[NodeId, NodeId | None] = {source: None}
         self._children: dict[NodeId, set[NodeId]] = {source: set()}
         self._members: set[NodeId] = set()
+        # N_R per on-tree node, maintained along the path to the source.
+        self._count: dict[NodeId, int] = {source: 0}
+        self._version = 0
+        # The Equation (2) SHR table and the version it was built at.
+        self._shr: dict[NodeId, int] = {}
+        self._shr_version = -1
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -70,6 +83,11 @@ class MulticastTree:
 
     def is_member(self, node: NodeId) -> bool:
         return node in self._members
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: changes whenever the tree or its members do."""
+        return self._version
 
     def parent(self, node: NodeId) -> NodeId | None:
         """Upstream node ``R_u`` of ``node`` (None for the source)."""
@@ -156,8 +174,39 @@ class MulticastTree:
         return result
 
     def subtree_member_count(self, node: NodeId) -> int:
-        """``N_R``: members in the subtree rooted at ``node`` (paper §3.2.1)."""
-        return sum(1 for n in self.subtree_nodes(node) if n in self._members)
+        """``N_R``: members in the subtree rooted at ``node`` (paper §3.2.1).
+
+        Maintained incrementally by every mutator, so this is a lookup.
+        """
+        try:
+            return self._count[node]
+        except KeyError:
+            raise NotOnTreeError(node) from None
+
+    def shr_values(self) -> dict[NodeId, int]:
+        """``SHR_{S,R}`` for every on-tree node via Equation (2).
+
+        Built once per :attr:`version` from the maintained ``N_R`` and
+        cached; the walk visits children in sorted order, so the table's
+        insertion order equals
+        :func:`~repro.core.shr.shr_incremental`'s.  The returned dict is
+        the cache itself: callers must copy it before changing it.
+        """
+        if self._shr_version != self._version:
+            count = self._count
+            children = self._children
+            shr: dict[NodeId, int] = {self.source: 0}
+            stack = [self.source]
+            while stack:
+                node = stack.pop()
+                base = shr[node]
+                kids = sorted(children[node])
+                for child in kids:
+                    shr[child] = base + count[child]
+                stack.extend(kids)
+            self._shr = shr
+            self._shr_version = self._version
+        return self._shr
 
     def downstream_interface_counts(self, node: NodeId) -> dict[NodeId, int]:
         """``N_R^i`` per downstream interface ``i`` (keyed by child node)."""
@@ -172,7 +221,10 @@ class MulticastTree:
         """Mark an already-on-tree node as a receiver."""
         if node not in self._parent:
             raise NotOnTreeError(node)
-        self._members.add(node)
+        if node not in self._members:
+            self._members.add(node)
+            self._add_count(node, 1)
+            self._version += 1
 
     def graft(self, path: list[NodeId], member: bool = True) -> None:
         """Splice a branch onto the tree.
@@ -189,7 +241,7 @@ class MulticastTree:
         if len(path) == 1:
             # Joining node is already on the tree: it just becomes a member.
             if member:
-                self._members.add(merge)
+                self.add_member(merge)
             return
         for node in path[1:]:
             if node in self._parent:
@@ -206,8 +258,10 @@ class MulticastTree:
             self._parent[v] = u
             self._children[v] = set()
             self._children[u].add(v)
+            self._count[v] = 0
+        self._version += 1
         if member:
-            self._members.add(path[-1])
+            self.add_member(path[-1])
 
     def prune(self, member: NodeId) -> list[NodeId]:
         """Remove a member; trim any branch that served only this member.
@@ -221,21 +275,9 @@ class MulticastTree:
         if member not in self._members:
             raise MulticastError(f"node {member} is not a member")
         self._members.discard(member)
-        removed: list[NodeId] = []
-        cursor = member
-        while (
-            cursor != self.source
-            and not self._children[cursor]
-            and cursor not in self._members
-        ):
-            parent = self._parent[cursor]
-            assert parent is not None
-            self._children[parent].discard(cursor)
-            del self._parent[cursor]
-            del self._children[cursor]
-            removed.append(cursor)
-            cursor = parent
-        return removed
+        self._add_count(member, -1)
+        self._version += 1
+        return self._release_dead_branch(member)
 
     def move_subtree(self, node: NodeId, new_path: list[NodeId]) -> None:
         """Re-hang ``node`` (and its whole subtree) via ``new_path``.
@@ -279,6 +321,8 @@ class MulticastTree:
         # re-attaching under the same parent), so pruning must come last.
         old_parent = self._parent[node]
         assert old_parent is not None
+        moving = self._count[node]
+        self._add_count(old_parent, -moving)
         self._children[old_parent].discard(node)
 
         for u, v in zip(new_path, new_path[1:]):
@@ -289,8 +333,32 @@ class MulticastTree:
                 self._parent[v] = u
                 self._children[v] = set()
                 self._children[u].add(v)
+                self._count[v] = 0
+        self._add_count(new_path[-2], moving)
+        self._version += 1
 
-        cursor = old_parent
+        self._release_dead_branch(old_parent)
+
+    # ------------------------------------------------------------------
+    # Mutation internals
+    # ------------------------------------------------------------------
+    def _add_count(self, node: NodeId, delta: int) -> None:
+        """Add ``delta`` to ``N_R`` on the path ``node → S`` (inclusive)."""
+        count = self._count
+        parent = self._parent
+        cursor: NodeId | None = node
+        while cursor is not None:
+            count[cursor] += delta
+            cursor = parent[cursor]
+
+    def _release_dead_branch(self, node: NodeId) -> list[NodeId]:
+        """Walk toward the source from ``node``, deleting childless relays.
+
+        The ``Leave_Req`` walk of §3.2.2: stops at the source, a member,
+        or a node that still has children.  Returns the removed nodes.
+        """
+        removed: list[NodeId] = []
+        cursor = node
         while (
             cursor != self.source
             and not self._children[cursor]
@@ -301,7 +369,10 @@ class MulticastTree:
             self._children[parent].discard(cursor)
             del self._parent[cursor]
             del self._children[cursor]
+            del self._count[cursor]
+            removed.append(cursor)
             cursor = parent
+        return removed
 
     # ------------------------------------------------------------------
     # Failure analysis
@@ -317,22 +388,24 @@ class MulticastTree:
     def surviving_component(self, failures: FailureSet = NO_FAILURES) -> set[NodeId]:
         """On-tree nodes still connected to the source after ``failures``.
 
-        Walks the tree from the source, stopping at failed links/nodes.
-        The source itself is excluded if it failed (session unrecoverable).
+        The on-tree nodes minus every subtree hanging below a failed tree
+        link or a failed on-tree node; only the failed components are
+        visited, not the whole tree.  The source itself is excluded if it
+        failed (session unrecoverable).
         """
-        if failures.node_failed(self.source):
+        if self.source in failures.failed_nodes:
             return set()
-        component = {self.source}
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            for child in self._children[node]:
-                if failures.node_failed(child):
-                    continue
-                if not failures.link_usable(node, child):
-                    continue
-                component.add(child)
-                stack.append(child)
+        parent = self._parent
+        cuts = [node for node in failures.failed_nodes if node in parent]
+        for u, v in failures.failed_links:
+            if parent.get(v) == u:
+                cuts.append(v)
+            elif parent.get(u) == v:
+                cuts.append(u)
+        component = set(parent)
+        for cut in cuts:
+            if cut in component:
+                component -= self.subtree_nodes(cut)
         return component
 
     def disconnected_members(self, failures: FailureSet) -> list[NodeId]:
@@ -349,6 +422,7 @@ class MulticastTree:
         clone._parent = dict(self._parent)
         clone._children = {node: set(kids) for node, kids in self._children.items()}
         clone._members = set(self._members)
+        clone._count = dict(self._count)
         return clone
 
     def __contains__(self, node: NodeId) -> bool:

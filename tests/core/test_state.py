@@ -1,9 +1,12 @@
 """Tests for distributed SMRP state maintenance and message accounting."""
 
+import numpy as np
 import pytest
 
+from repro.core.protocol import SMRPConfig, SMRPProtocol
 from repro.errors import ConfigurationError, NotOnTreeError
 from repro.graph.generators import node_id
+from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.multicast.tree import MulticastTree
 from repro.core.shr import shr_table, subtree_member_counts
 from repro.core.state import StateManager
@@ -68,6 +71,25 @@ class TestConditionI:
         manager.record_reshape_baseline(node_id("E"))
         assert manager.condition_i_delta(node_id("E")) == 0
 
+    def test_rebind_restarts_nodes_that_left_the_tree(self, tree):
+        """A node that left and came back under the same upstream starts a
+        fresh baseline: the one it had before leaving is stale."""
+        D, E, F = node_id("D"), node_id("E"), node_id("F")
+        manager = StateManager(tree)
+        tree.graft([D, F])
+        manager.notify_graft([D, F])
+        tree.prune(E)
+        manager.notify_prune(D)
+        manager.record_reshape_baseline(F)  # SHR(D) = 2 with F alone
+        tree.graft([D, E])
+        manager.notify_graft([D, E])
+        tree.prune(F)
+        manager.notify_prune(D)
+        replacement = tree.copy()
+        replacement.graft([D, F])
+        manager.rebind(replacement)
+        assert manager.condition_i_delta(F) == 0
+
     def test_source_has_no_delta(self, tree):
         manager = StateManager(tree)
         assert manager.condition_i_delta(node_id("S")) == 0
@@ -110,3 +132,31 @@ class TestMessageAccounting:
             t.prune(node_id("F"))
             manager.notify_prune(node_id("D"))
         assert deferred.counters.total < eager.counters.total
+
+
+class TestModesAgree:
+    """Eager and deferred maintenance differ only in message accounting."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_trees_same_reshapes(self, seed):
+        topology = waxman_topology(
+            WaxmanConfig(n=60, alpha=0.25, seed=seed)
+        ).topology
+        rng = np.random.default_rng(seed)
+        members = [int(m) for m in rng.choice(range(1, 60), 15, replace=False)]
+        runs = {}
+        for mode in ("eager", "deferred"):
+            proto = SMRPProtocol(topology, 0, config=SMRPConfig(state_mode=mode))
+            proto.build(members)
+            runs[mode] = proto
+        eager, deferred = runs["eager"], runs["deferred"]
+        assert eager.tree.tree_links() == deferred.tree.tree_links()
+        assert eager.stats.reshape_evaluations == deferred.stats.reshape_evaluations
+        assert eager.stats.reshapes_performed == deferred.stats.reshapes_performed
+        assert eager.state.counters.n_updates == deferred.state.counters.n_updates
+        assert eager.state.counters.shr_pulls == 0
+        assert deferred.state.counters.shr_pushes == 0
+        for node in eager.tree.on_tree_nodes():
+            assert eager.state.condition_i_delta(
+                node
+            ) == deferred.state.condition_i_delta(node)
