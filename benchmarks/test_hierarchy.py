@@ -11,7 +11,7 @@ nodes of one domain, while the flat recovery may touch state anywhere.
 import numpy as np
 
 from repro.graph.transit_stub import TransitStubConfig, transit_stub_topology
-from repro.core.hierarchy import HierarchicalMulticast
+from repro.core.nlevel import NLevelMulticast
 from repro.core.protocol import SMRPConfig, SMRPProtocol
 from repro.core.recovery import repair_tree
 from repro.routing.failure_view import FailureSet
@@ -27,7 +27,7 @@ def build_world(seed: int = 3):
     rng = np.random.default_rng(seed + 1)
     stub_nodes = [
         n
-        for d in network.stub_domains
+        for d in network.leaf_domains()
         for n in sorted(d.nodes)
         if n != d.gateway
     ]
@@ -44,7 +44,7 @@ def run_comparison():
     network, source, members = build_world()
     config = SMRPConfig(d_thresh=0.5)
 
-    hierarchical = HierarchicalMulticast(network, source, config=config)
+    hierarchical = NLevelMulticast(network, source, config=config)
     for m in members:
         hierarchical.join(m)
 
@@ -92,7 +92,7 @@ def test_hierarchical_membership_scales(benchmark):
 
     def run():
         network, source, members = build_world(seed=9)
-        session = HierarchicalMulticast(network, source)
+        session = NLevelMulticast(network, source)
         for m in members:
             session.join(m)
         return network, session
@@ -102,6 +102,6 @@ def test_hierarchical_membership_scales(benchmark):
     # Only domains that actually host members (plus transit + source
     # domain) are active — idle stubs hold zero session state.
     member_domains = {network.domain_of[m] for m in session.members}
-    expected = member_domains | {0, session.source_domain.domain_id}
+    expected = member_domains | {0, session.source_domain_id}
     assert set(active) <= expected
     assert session.total_cost() > 0

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from repro import SMRPConfig, SMRPProtocol, TransitStubConfig, transit_stub_topology
-from repro.core.hierarchy import HierarchicalMulticast
+from repro.core.nlevel import NLevelMulticast
 from repro.core.recovery import repair_tree
 from repro.routing.failure_view import FailureSet
 
@@ -33,13 +33,14 @@ def main(seed: int = 3) -> None:
     )
     topo = network.topology
     print(f"network: {topo}")
-    print(f"domains: 1 transit + {len(network.stub_domains)} stubs "
+    stubs = network.leaf_domains()
+    print(f"domains: 1 transit + {len(stubs)} stubs "
           f"(gateway agents: "
-          f"{[d.gateway for d in network.stub_domains]})\n")
+          f"{[d.gateway for d in stubs]})\n")
 
     rng = np.random.default_rng(seed + 1)
     stub_nodes = [
-        n for d in network.stub_domains for n in sorted(d.nodes)
+        n for d in stubs for n in sorted(d.nodes)
         if n != d.gateway
     ]
     source = stub_nodes[0]
@@ -48,7 +49,7 @@ def main(seed: int = 3) -> None:
         - {source}
     )
 
-    session = HierarchicalMulticast(network, source, config=SMRPConfig(d_thresh=0.5))
+    session = NLevelMulticast(network, source, config=SMRPConfig(d_thresh=0.5))
     for m in members:
         session.join(m)
     flat = SMRPProtocol(topo, source, config=SMRPConfig(d_thresh=0.5))

@@ -14,7 +14,9 @@ paper's own structure:
 - :mod:`repro.core.query` — the partial-knowledge query scheme, §3.3.1,
 - :mod:`repro.core.protocol` — :class:`~repro.core.protocol.SMRPProtocol`,
   the graph-level engine tying it all together,
-- :mod:`repro.core.hierarchy` — the N-level recovery architecture, §3.3.3.
+- :mod:`repro.core.nlevel` — hierarchical recovery domains, §3.3.3: one
+  engine for the paper's 2-level transit-stub network and any deeper
+  nesting.
 """
 
 from repro.core.shr import shr_direct, shr_incremental, shr_table
@@ -30,7 +32,6 @@ from repro.core.recovery import (
     worst_case_failure,
 )
 from repro.core.protocol import SMRPConfig, SMRPProtocol
-from repro.core.hierarchy import HierarchicalMulticast, HierarchicalRecoveryReport
 from repro.core.nlevel import NLevelMulticast, NLevelRecoveryReport
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "worst_case_failure",
     "SMRPConfig",
     "SMRPProtocol",
-    "HierarchicalMulticast",
-    "HierarchicalRecoveryReport",
     "NLevelMulticast",
     "NLevelRecoveryReport",
 ]

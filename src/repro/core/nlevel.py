@@ -1,7 +1,10 @@
-"""N-level hierarchical recovery (the generalization of §3.3.3).
+"""Hierarchical recovery domains (§3.3.3), at any nesting depth.
 
 :class:`NLevelMulticast` runs one SMRP instance per *active* domain of an
-:class:`~repro.graph.nlevel.NLevelNetwork`:
+:class:`~repro.graph.nlevel.NLevelNetwork` — the paper's 2-level
+transit-stub network of Figure 6
+(:func:`~repro.graph.transit_stub.transit_stub_topology`) or any deeper
+nesting (:func:`~repro.graph.nlevel.n_level_topology`):
 
 - the source's leaf domain's tree is rooted at the source itself; its
   agent (gateway) joins as a relaying member — the paper's "exception"
@@ -14,7 +17,9 @@
   member's chain — each hop carried by that domain's own tree (the
   S → R1 path of Figure 6 crossing RD1, RD0, RD2, generalized to any
   nesting depth);
-- a failure is repaired strictly inside the domain that contains it.
+- a failure is repaired strictly inside the domain that contains it;
+  a domain whose tree root has failed is dead, and every receiver whose
+  data path crosses it leaves the session.
 
 Relay memberships are reference-counted so domains activate exactly when
 the first member needs them and dissolve with the last.
@@ -47,20 +52,33 @@ class NLevelRecoveryReport:
     scope_nodes: int = 0
     #: Domains whose agent failed and was replaced by a standby.
     failovers: dict[int, NodeId] = field(default_factory=dict)
-    #: Domains whose agent failed with no standby left: their members are
-    #: unreachable until the operator intervenes.
+    #: Domains whose tree root (the session source, or the agent data
+    #: enters through) failed with no standby to take over: a confined
+    #: recovery cannot re-root them.
     dead_domains: list[int] = field(default_factory=list)
-    #: Members that could not be re-attached during agent failover (the
-    #: dead agent was a cut vertex of their domain).
+    #: Tree members that could not be re-attached during agent failover
+    #: (the dead agent was a cut vertex of their domain).
     failover_casualties: list[NodeId] = field(default_factory=list)
+    #: Receivers the recovery removed from the session: failed ones, ones
+    #: left unrecoverable, and ones whose data path crosses a dead domain.
+    dropped_members: list[NodeId] = field(default_factory=list)
 
     @property
     def total_recovery_distance(self) -> float:
         return sum(r.total_recovery_distance for r in self.repairs.values())
 
+    @property
+    def unrecoverable(self) -> list[NodeId]:
+        """Tree members (receivers or relays) no repair could re-attach."""
+        out: list[NodeId] = []
+        for report in self.repairs.values():
+            out.extend(report.unrecoverable)
+        return sorted(out)
+
 
 class NLevelMulticast:
-    """SMRP over an arbitrary-depth domain hierarchy."""
+    """SMRP over a domain hierarchy of any depth (2-level transit-stub
+    networks included)."""
 
     def __init__(
         self,
@@ -107,20 +125,7 @@ class NLevelMulticast:
         leaf = self._leaf_domain_of(member)
         self._protocols[leaf.domain_id].leave(member)
         self._members.discard(member)
-        for domain_id, relay in reversed(
-            self._relay_requirements(leaf.domain_id)
-        ):
-            self._relay_demand[(domain_id, relay)] -= 1
-            if self._relay_demand[(domain_id, relay)] > 0:
-                continue
-            del self._relay_demand[(domain_id, relay)]
-            protocol = self._protocols.get(domain_id)
-            if protocol is None:
-                continue
-            if relay in self._members and self.network.domain_of.get(relay) == domain_id:
-                continue  # the relay is also a genuine receiver
-            if protocol.tree.is_member(relay):
-                protocol.leave(relay)
+        self._release_relays(leaf.domain_id)
         self._garbage_collect()
 
     @property
@@ -166,7 +171,7 @@ class NLevelMulticast:
     ) -> NLevelRecoveryReport:
         """Repair every affected domain inside its own sub-topology.
 
-        Handles two failure classes:
+        Handles three failure classes:
 
         - component failures inside a domain → local-detour repair of that
           domain's tree (the §3.3.3 confinement);
@@ -174,14 +179,29 @@ class NLevelMulticast:
           a standby agent (generated multi-homed into the parent domain)
           takes over — the domain's tree re-roots at the standby, the
           parent's relay membership switches to it, and everything else
-          stays untouched.  Without a live standby the domain is reported
-          dead.
+          stays untouched;
+        - **root failures**: a domain whose tree root (the source, or the
+          agent data enters through) is still dead after failover cannot
+          be repaired; it is reported dead and its state dropped.
+
+        Afterwards every receiver whose data path no longer reaches it —
+        it failed, a repair could not re-attach it or a relay it depends
+        on, or the path crosses a dead domain — is dropped from the
+        session, releasing its relay chain, and listed in
+        ``dropped_members``.  ``route_cache`` / ``route_obs`` memoise
+        post-failure SPF state across repairs exactly as in
+        :func:`~repro.core.recovery.repair_tree` (domain graphs carry
+        their own cache tokens, so entries never cross domains).
 
         An ``obs`` with a restoration tracer attached yields one episode
         per member re-attached (``origin="repair"``), domain by domain.
         """
         report = NLevelRecoveryReport()
         self._failover_dead_agents(failures, report)
+        for domain_id in sorted(self._protocols):
+            if failures.node_failed(self._entry_point(domain_id)):
+                report.dead_domains.append(domain_id)
+                del self._protocols[domain_id]
         for domain_id, protocol in sorted(self._protocols.items()):
             local = self._restrict_failures(domain_id, failures)
             if local.is_empty or not protocol.tree.affected_by(local):
@@ -201,9 +221,30 @@ class NLevelMulticast:
             report.repairs[domain_id] = repair
             report.scope_nodes += self._graphs[domain_id].num_nodes
         for member in sorted(self._members):
-            if failures.node_failed(member):
-                self._members.discard(member)
+            if not self._reachable(member):
+                self._drop(member, report)
         return report
+
+    def _reachable(self, member: NodeId) -> bool:
+        """True when every hop of the member's data path ends on a live
+        domain tree."""
+        leaf_id = self.network.domain_of[member]
+        return all(
+            domain_id in self._protocols
+            and self._protocols[domain_id].tree.is_member(exit_node)
+            for domain_id, exit_node in self._data_path(leaf_id, member)
+        )
+
+    def _drop(self, member: NodeId, report: NLevelRecoveryReport) -> None:
+        """Remove an unreachable receiver and release its relay chain; a
+        domain left empty stays active until the next :meth:`leave`."""
+        leaf_id = self.network.domain_of[member]
+        protocol = self._protocols.get(leaf_id)
+        if protocol is not None and protocol.tree.is_member(member):
+            protocol.leave(member)
+        self._members.discard(member)
+        self._release_relays(leaf_id)
+        report.dropped_members.append(member)
 
     # ------------------------------------------------------------------
     # Agent failover
@@ -227,9 +268,7 @@ class NLevelMulticast:
                 None,
             )
             if replacement is None:
-                report.dead_domains.append(domain.domain_id)
-                self._abandon_domain_subtree(domain)
-                continue
+                continue  # the root-failure rule in recover() takes over
             self._promote_standby(domain, gateway, replacement, failures, report)
             report.failovers[domain.domain_id] = replacement
 
@@ -260,26 +299,31 @@ class NLevelMulticast:
         if domain.parent is not None:
             self._graphs.pop(domain.parent, None)
 
-        # Rebuild the domain's own tree rooted at the new agent.  When the
-        # old agent relayed *upward* (source-path domains carry their own
-        # gateway as a member), the replacement inherits that duty too.
-        own_relay = self._relay_demand.pop((domain.domain_id, old_gateway), 0)
-        if own_relay:
-            self._relay_demand[(domain.domain_id, replacement)] += own_relay
-        protocol = self._protocols.pop(domain.domain_id, None)
-        if protocol is not None:
-            old_members = [
+        # The domain's own tree re-roots at the new agent; when the old
+        # agent relayed *upward* (source-path domains carry their own
+        # gateway as a member), the replacement inherits that duty.  The
+        # parent's graph changed (standby uplink now visible), so its tree
+        # is rebuilt too, with the relay membership switched over.
+        for domain_id in (domain.domain_id, domain.parent):
+            if domain_id is None:
+                continue
+            demand = self._relay_demand.pop((domain_id, old_gateway), 0)
+            if demand:
+                self._relay_demand[(domain_id, replacement)] += demand
+            protocol = self._protocols.pop(domain_id, None)
+            if protocol is None:
+                continue
+            members = {
                 m
                 for m in protocol.tree.members
                 if m != old_gateway and not failures.node_failed(m)
-            ]
-            if own_relay and replacement not in old_members:
-                old_members.append(replacement)
-            fresh = self._protocol_for(domain.domain_id)
-            for member in sorted(old_members):
+            }
+            if demand:
+                members.add(replacement)
+            fresh = self._protocol_for(domain_id)
+            for member in sorted(members):
                 if member == fresh.tree.source:
-                    if not fresh.tree.is_member(member):
-                        fresh.tree.add_member(member)
+                    fresh.tree.add_member(member)
                     continue
                 try:
                     fresh.join(member, failures=failures)
@@ -287,51 +331,7 @@ class NLevelMulticast:
                     # The dead agent was a cut vertex of this domain: the
                     # member has no path to the standby.  Domain
                     # confinement means nobody else can serve it either.
-                    self._drop_casualty(member, report)
-
-        # Rewire the parent's relay membership and the demand counters.
-        parent_id = domain.parent
-        if parent_id is None:
-            return
-        moved = self._relay_demand.pop((parent_id, old_gateway), 0)
-        if moved:
-            self._relay_demand[(parent_id, replacement)] += moved
-        parent_protocol = self._protocols.get(parent_id)
-        if parent_protocol is not None:
-            # The parent's graph changed (standby uplink now visible):
-            # rebuild the parent's tree over the refreshed graph.
-            parent_members = [
-                m
-                for m in parent_protocol.tree.members
-                if m != old_gateway and not failures.node_failed(m)
-            ]
-            if moved and replacement not in parent_members:
-                parent_members.append(replacement)
-            del self._protocols[parent_id]
-            fresh_parent = self._protocol_for(parent_id)
-            for member in sorted(parent_members):
-                if member == fresh_parent.tree.source:
-                    if not fresh_parent.tree.is_member(member):
-                        fresh_parent.tree.add_member(member)
-                    continue
-                try:
-                    fresh_parent.join(member, failures=failures)
-                except ReproError:
-                    self._drop_casualty(member, report)
-
-    def _drop_casualty(self, member: NodeId, report: NLevelRecoveryReport) -> None:
-        report.failover_casualties.append(member)
-        self._members.discard(member)
-
-    def _abandon_domain_subtree(self, domain: NestedDomain) -> None:
-        """Drop all session state of a domain with no live agent."""
-        self._protocols.pop(domain.domain_id, None)
-        for member in sorted(self._members):
-            if self.network.domain_of.get(member) == domain.domain_id:
-                self._members.discard(member)
-        parent_id = domain.parent
-        if parent_id is not None:
-            self._relay_demand.pop((parent_id, domain.gateway), None)
+                    report.failover_casualties.append(member)
 
     # ------------------------------------------------------------------
     # Internals
@@ -392,23 +392,9 @@ class NLevelMulticast:
     def _data_path(
         self, leaf_id: int, member: NodeId
     ) -> list[tuple[int, NodeId]]:
-        """(domain, exit node) hops the data crosses from S to ``member``."""
-        lca = self.network.lowest_common_ancestor(self.source_domain_id, leaf_id)
-        hops: list[tuple[int, NodeId]] = []
-        for domain_id in reversed(self.source_path):
-            if domain_id == lca:
-                break
-            gateway = self.network.domains[domain_id].gateway
-            assert gateway is not None
-            hops.append((domain_id, gateway))
-        member_path = self.network.domain_path(leaf_id)
-        start = member_path.index(lca)
-        for upper, lower in zip(member_path[start:], member_path[start + 1 :]):
-            gateway = self.network.domains[lower].gateway
-            assert gateway is not None
-            hops.append((upper, gateway))
-        hops.append((leaf_id, member))
-        return hops
+        """(domain, exit node) hops the data crosses from S to ``member``:
+        one per relay it depends on, then its own leaf domain."""
+        return [*self._relay_requirements(leaf_id), (leaf_id, member)]
 
     def _protocol_for(self, domain_id: int) -> SMRPProtocol:
         if domain_id not in self._protocols:
@@ -447,6 +433,22 @@ class NLevelMulticast:
         )
         nodes = frozenset(n for n in failures.failed_nodes if graph.has_node(n))
         return FailureSet(failed_links=links, failed_nodes=nodes)
+
+    def _release_relays(self, leaf_id: int) -> None:
+        """Give back one receiver's relay demand toward ``leaf_id``; a
+        relay nobody needs any more leaves its domain's tree."""
+        for domain_id, relay in reversed(self._relay_requirements(leaf_id)):
+            self._relay_demand[(domain_id, relay)] -= 1
+            if self._relay_demand[(domain_id, relay)] > 0:
+                continue
+            del self._relay_demand[(domain_id, relay)]
+            protocol = self._protocols.get(domain_id)
+            if protocol is None:
+                continue
+            if relay in self._members and self.network.domain_of.get(relay) == domain_id:
+                continue  # the relay is also a genuine receiver
+            if protocol.tree.is_member(relay):
+                protocol.leave(relay)
 
     def _garbage_collect(self) -> None:
         """Drop protocols whose trees no longer serve anyone."""

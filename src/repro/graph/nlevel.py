@@ -16,6 +16,9 @@ to its parent domain.  This generator produces such nested topologies:
 The result records the domain tree (parent/children), each domain's
 gateway and attachment, and the domain of every node, which is exactly
 what :class:`repro.core.nlevel.NLevelMulticast` needs to scope recovery.
+The paper's own 2-level instance,
+:func:`~repro.graph.transit_stub.transit_stub_topology`, builds the same
+:class:`NLevelNetwork`.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ class NLevelNetwork:
     """Generated topology plus the domain hierarchy."""
 
     topology: Topology
-    specs: tuple[LevelSpec, ...]
     domains: list[NestedDomain] = field(default_factory=list)
     domain_of: dict[NodeId, int] = field(default_factory=dict)
 
@@ -104,7 +106,8 @@ class NLevelNetwork:
 
     @property
     def depth(self) -> int:
-        return len(self.specs)
+        """Number of levels (a transit-stub network has 2)."""
+        return 1 + max(d.level for d in self.domains)
 
     def leaf_domains(self) -> list[NestedDomain]:
         return [d for d in self.domains if d.is_leaf]
@@ -148,7 +151,7 @@ def n_level_topology(specs: list[LevelSpec], seed: int = 0) -> NLevelNetwork:
 
     rng = np.random.default_rng(seed)
     topo = Topology(f"nlevel(depth={len(specs)},seed={seed})")
-    network = NLevelNetwork(topology=topo, specs=tuple(specs))
+    network = NLevelNetwork(topology=topo)
 
     next_node = 0
     frontier: list[int] = []
@@ -171,12 +174,7 @@ def n_level_topology(specs: list[LevelSpec], seed: int = 0) -> NLevelNetwork:
             parent=None if parent is None else parent.domain_id,
         )
         offset = next_node
-        for node in sub.nodes():
-            topo.add_node(node + offset, pos=sub.position(node))
-        for link in sub.links():
-            topo.add_link(
-                link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
-            )
+        _splice(topo, sub, offset)
         domain.nodes = {n + offset for n in sub.nodes()}
         next_node += spec.size
 
@@ -232,6 +230,16 @@ def n_level_topology(specs: list[LevelSpec], seed: int = 0) -> NLevelNetwork:
 
     topo.validate()
     return network
+
+
+def _splice(target: Topology, source: Topology, offset: int) -> None:
+    """Copy ``source`` into ``target`` with node ids shifted by ``offset``."""
+    for node in source.nodes():
+        target.add_node(node + offset, pos=source.position(node))
+    for link in source.links():
+        target.add_link(
+            link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
+        )
 
 
 def _central_node(sub: Topology, offset: int) -> NodeId:

@@ -9,19 +9,22 @@ GT-ITM ships a transit-stub generator; this module is a from-scratch
 equivalent at the scale the paper needs.  A single transit (backbone)
 domain is generated as a Waxman graph; each transit node sponsors a number
 of stub domains, each itself a small Waxman graph attached to its transit
-node via a gateway link.  The result records which domain every node
-belongs to so the hierarchical protocol can scope recovery.
+node via a gateway link.  The result is a 2-level
+:class:`~repro.graph.nlevel.NLevelNetwork` — the transit domain is the
+root, the stubs are its leaf children — so
+:class:`~repro.core.nlevel.NLevelMulticast` scopes recovery on it exactly
+as on any deeper hierarchy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.placement import euclidean
-from repro.graph.topology import NodeId, Topology
+from repro.graph.nlevel import NestedDomain, NLevelNetwork, _central_node, _splice
+from repro.graph.topology import Topology
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 
 
@@ -96,47 +99,14 @@ class TransitStubConfig:
         return self.transit_nodes * (1 + self.stubs_per_transit * self.stub_size)
 
 
-@dataclass
-class Domain:
-    """A recovery domain: a set of nodes plus its gateway into the parent level.
-
-    ``level`` is 0 for the transit backbone and 1 for stub domains, matching
-    the paper's L0/L1 terminology in Figure 6.  For a stub domain the
-    ``gateway`` is the stub-side endpoint of the link to the transit node
-    (the natural home for the domain's recovery agent), and ``attachment``
-    is the transit node it connects to.
-    """
-
-    domain_id: int
-    level: int
-    nodes: set[NodeId] = field(default_factory=set)
-    gateway: NodeId | None = None
-    attachment: NodeId | None = None
-
-
-@dataclass
-class TransitStubResult:
-    """Generated topology plus domain structure."""
-
-    topology: Topology
-    config: TransitStubConfig
-    domains: list[Domain] = field(default_factory=list)
-    domain_of: dict[NodeId, int] = field(default_factory=dict)
-
-    @property
-    def transit_domain(self) -> Domain:
-        return self.domains[0]
-
-    @property
-    def stub_domains(self) -> list[Domain]:
-        return self.domains[1:]
-
-
-def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
+def transit_stub_topology(config: TransitStubConfig) -> NLevelNetwork:
     """Generate a 2-level transit-stub topology.
 
     Node ids are assigned contiguously: transit nodes first, then each stub
-    domain's nodes in generation order.
+    domain's nodes in generation order.  Domain 0 is the transit backbone
+    (level 0); every stub is a level-1 leaf whose ``attachments`` are its
+    primary transit router followed by its backups, with no standby
+    agents.
     """
     rng = np.random.default_rng(config.seed)
     seed_stream = rng.integers(0, 2**31 - 1, size=1 + config.transit_nodes
@@ -146,7 +116,7 @@ def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
         f"transit_stub(t={config.transit_nodes},"
         f"s={config.stubs_per_transit}x{config.stub_size},seed={config.seed})"
     )
-    result = TransitStubResult(topology=topo, config=config)
+    network = NLevelNetwork(topology=topo)
 
     transit = waxman_topology(
         WaxmanConfig(
@@ -157,12 +127,12 @@ def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
             seed=int(seed_stream[0]),
         )
     )
-    transit_domain = Domain(domain_id=0, level=0)
+    transit_domain = NestedDomain(domain_id=0, level=0)
     _splice(topo, transit.topology, offset=0)
     transit_domain.nodes = set(range(config.transit_nodes))
-    result.domains.append(transit_domain)
+    network.domains.append(transit_domain)
     for node in transit_domain.nodes:
-        result.domain_of[node] = 0
+        network.domain_of[node] = 0
 
     next_id = config.transit_nodes
     next_seed = 1
@@ -178,15 +148,17 @@ def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
                 )
             )
             next_seed += 1
-            domain = Domain(domain_id=len(result.domains), level=1)
+            domain = NestedDomain(
+                domain_id=len(network.domains), level=1, parent=0
+            )
             _splice(topo, stub.topology, offset=next_id)
             domain.nodes = set(range(next_id, next_id + config.stub_size))
             # The gateway is the stub node closest to the stub's own centre —
             # deterministic given the stub layout.
-            gateway = _central_node(stub.topology, base=next_id)
+            gateway = _central_node(stub.topology, next_id)
             domain.gateway = gateway
-            domain.attachment = transit_node
             topo.add_link(gateway, transit_node, delay=config.gateway_delay)
+            attachments = [transit_node]
             # Backup attachments (multi-homing): longer links to further
             # transit routers, giving the transit recovery domain detours.
             for k in range(1, config.gateway_redundancy):
@@ -194,32 +166,13 @@ def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
                 topo.add_link(
                     gateway, backup, delay=config.gateway_delay * 1.5
                 )
-            result.domains.append(domain)
+                attachments.append(backup)
+            domain.attachments = tuple(attachments)
+            transit_domain.children.append(domain.domain_id)
+            network.domains.append(domain)
             for node in domain.nodes:
-                result.domain_of[node] = domain.domain_id
+                network.domain_of[node] = domain.domain_id
             next_id += config.stub_size
 
     topo.validate()
-    return result
-
-
-def _splice(target: Topology, source: Topology, offset: int) -> None:
-    """Copy ``source`` into ``target`` with node ids shifted by ``offset``."""
-    for node in source.nodes():
-        target.add_node(node + offset, pos=source.position(node))
-    for link in source.links():
-        target.add_link(
-            link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
-        )
-
-
-def _central_node(stub: Topology, base: int) -> NodeId:
-    """Pick the stub node closest to the centroid of the stub's positions."""
-    nodes = stub.nodes()
-    positions = [stub.position(n) for n in nodes]
-    if any(p is None for p in positions):
-        return base + nodes[0]
-    cx = sum(p[0] for p in positions) / len(positions)
-    cy = sum(p[1] for p in positions) / len(positions)
-    best = min(nodes, key=lambda n: (euclidean(stub.position(n), (cx, cy)), n))
-    return base + best
+    return network

@@ -1,9 +1,13 @@
 """Tests for N-level hierarchical SMRP."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import AlreadyMemberError, ConfigurationError, NotMemberError
 from repro.graph.nlevel import LevelSpec, n_level_topology
+from repro.graph.transit_stub import TransitStubConfig, transit_stub_topology
 from repro.core.nlevel import NLevelMulticast
 from repro.core.protocol import SMRPConfig
 from repro.multicast.validation import check_tree_invariants
@@ -166,3 +170,75 @@ class TestRecovery:
         report = session.recover(FailureSet.links(internal[0]))
         assert report.domains_reconfigured == []
         assert report.scope_nodes == 0
+
+
+def _three_level(seed: int, standbys: int):
+    return n_level_topology(
+        [
+            LevelSpec(size=4, fanout=2, alpha=0.9, scale=120.0,
+                      standby_gateways=standbys),
+            LevelSpec(size=5, fanout=2, alpha=0.8, scale=60.0,
+                      standby_gateways=standbys),
+            LevelSpec(size=6, fanout=0, alpha=0.7, scale=30.0,
+                      standby_gateways=standbys),
+        ],
+        seed=seed,
+    )
+
+
+NETWORKS = {
+    "transit_stub": lambda seed: transit_stub_topology(
+        TransitStubConfig(transit_nodes=3, stubs_per_transit=2, stub_size=6,
+                          seed=seed)
+    ),
+    "three_level_no_standby": lambda seed: _three_level(seed, standbys=0),
+    "three_level_one_standby": lambda seed: _three_level(seed, standbys=1),
+}
+
+
+def _joined_session(kind: str, seed: int):
+    """A fresh network (agent failover rewrites its gateways) and a
+    session with seeded receivers spread over the leaf domains."""
+    network = NETWORKS[kind](seed)
+    leaves = network.leaf_domains()
+    rng = np.random.default_rng(seed)
+    nodes = [
+        n for leaf in leaves for n in sorted(leaf.nodes) if n != leaf.gateway
+    ]
+    source = nodes[int(rng.integers(len(nodes)))]
+    pool = [n for n in nodes if n != source]
+    members = [
+        pool[i] for i in rng.choice(len(pool), size=len(leaves) + 4,
+                                    replace=False)
+    ]
+    session = NLevelMulticast(network, source, config=SMRPConfig(d_thresh=0.5))
+    for m in members:
+        session.join(m)
+    return session
+
+
+@pytest.mark.parametrize("kind", sorted(NETWORKS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_single_failure_leaves_a_consistent_session(kind, seed):
+    """Regression: a failed source or source-path agent used to raise
+    (the source-side domain tree lost its root), and receivers a repair
+    could not re-attach stayed in the session with no delay.  Every
+    single tree-link and on-tree node failure — roots included — must
+    now recover to a session whose remaining receivers are all served."""
+    probe = _joined_session(kind, seed)
+    links, nodes = set(), set()
+    for domain_id in probe.active_domains():
+        tree = probe.protocol(domain_id).tree
+        links.update(tree.tree_links())
+        nodes.update(tree.on_tree_nodes())
+    failures = [FailureSet.links(link) for link in sorted(links)]
+    failures += [FailureSet.nodes(node) for node in sorted(nodes)]
+    for failure in failures:
+        session = _joined_session(kind, seed)
+        before = session.members
+        report = session.recover(failure)
+        for domain_id in session.active_domains():
+            check_tree_invariants(session.protocol(domain_id).tree)
+        for member in session.members:
+            assert math.isfinite(session.end_to_end_delay(member)), failure
+        assert set(report.dropped_members) == before - session.members, failure

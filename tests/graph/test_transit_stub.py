@@ -6,9 +6,12 @@ from repro.errors import ConfigurationError
 from repro.graph.transit_stub import TransitStubConfig, transit_stub_topology
 
 
+CONFIG = TransitStubConfig(seed=5)
+
+
 @pytest.fixture(scope="module")
 def network():
-    return transit_stub_topology(TransitStubConfig(seed=5))
+    return transit_stub_topology(CONFIG)
 
 
 class TestConfig:
@@ -31,16 +34,31 @@ class TestConfig:
 
 class TestStructure:
     def test_node_count(self, network):
-        assert network.topology.num_nodes == network.config.total_nodes
+        assert network.topology.num_nodes == CONFIG.total_nodes
 
     def test_connected(self, network):
         assert network.topology.is_connected()
 
     def test_domain_count(self, network):
-        cfg = network.config
-        assert len(network.domains) == 1 + cfg.transit_nodes * cfg.stubs_per_transit
-        assert network.transit_domain.level == 0
-        assert all(d.level == 1 for d in network.stub_domains)
+        assert len(network.domains) == (
+            1 + CONFIG.transit_nodes * CONFIG.stubs_per_transit
+        )
+        assert network.root.level == 0
+        assert all(d.level == 1 for d in network.leaf_domains())
+
+    def test_two_level_hierarchy(self, network):
+        """The transit domain is the root; every stub is its leaf child."""
+        assert network.depth == 2
+        assert network.root.parent is None
+        assert network.root.children == [
+            d.domain_id for d in network.leaf_domains()
+        ]
+        assert len(network.leaf_domains()) == len(network.domains) - 1
+        for stub in network.leaf_domains():
+            assert stub.parent == network.root.domain_id
+            assert stub.children == []
+            assert stub.standbys == ()
+            assert len(stub.attachments) == CONFIG.gateway_redundancy
 
     def test_domains_partition_nodes(self, network):
         seen: set[int] = set()
@@ -55,17 +73,18 @@ class TestStructure:
                 assert network.domain_of[node] == domain.domain_id
 
     def test_every_stub_has_gateway_link(self, network):
-        for stub in network.stub_domains:
+        for stub in network.leaf_domains():
+            primary = stub.attachments[0]
             assert stub.gateway in stub.nodes
-            assert stub.attachment in network.transit_domain.nodes
-            assert network.topology.has_link(stub.gateway, stub.attachment)
+            assert primary in network.root.nodes
+            assert network.topology.has_link(stub.gateway, primary)
             assert network.topology.delay(
-                stub.gateway, stub.attachment
-            ) == network.config.gateway_delay
+                stub.gateway, primary
+            ) == CONFIG.gateway_delay
 
     def test_stub_internal_links_stay_internal(self, network):
         """The only link leaving a stub domain is its gateway link."""
-        for stub in network.stub_domains:
+        for stub in network.leaf_domains():
             for link in network.topology.links():
                 inside = link.u in stub.nodes, link.v in stub.nodes
                 if inside == (True, False) or inside == (False, True):
