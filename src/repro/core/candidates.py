@@ -1,4 +1,4 @@
-"""Candidate-path enumeration for SMRP joins and reshapes (paper §3.2.2).
+"""Candidate-path search for SMRP joins and reshapes (paper §3.2.2).
 
 A joining member ``NR`` considers, for every on-tree node ``R_i``, the path
 that reaches the tree at ``R_i``: the shortest path ``NR → R_i`` (footnote
@@ -16,10 +16,20 @@ Two refinements the paper leaves implicit:
   on this: G's option ``G→B→S`` is *not* G's globally shortest route to
   S — that one runs through on-tree node D — yet it is a legitimate
   merge-at-S candidate.)
-- **Exclusions.**  Reshaping reuses the same enumeration but must not
-  merge inside the moving node's own subtree (that would create a cycle),
-  so callers can exclude node sets from both the merge-point set and the
+- **Exclusions.**  Reshaping reuses the same search but must not merge
+  inside the moving node's own subtree (that would create a cycle), so
+  callers can exclude node sets from both the merge-point set and the
   connecting paths.
+
+Two entry points share that search.  :class:`MergeSearch` is what the
+protocols run: it applies the Path Selection Criterion in place, straight
+from the kernel's arrays, and builds a :class:`Candidate` (walking its
+graft path) only for the winner; a reshape bounds the search itself at
+the delay bound, since no merge point beyond it can be feasible.
+:func:`enumerate_candidates` materializes every option, sorted, for
+callers that need the full list (:func:`repro.core.join.select_path`, the
+query-scheme comparison, and the property tests that pin the fused
+selection against it).
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import dataclass
 from repro.core.shr import VECTOR_MIN_NODES
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
+from repro.routing.csr import INF, NO_PARENT
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.spf import barrier_search_arrays, dijkstra_with_barriers
 
@@ -64,6 +75,210 @@ class Candidate:
         return self.graft_path[-1]
 
 
+@dataclass(frozen=True)
+class MergeScan:
+    """The Path Selection Criterion applied to one :class:`MergeSearch`.
+
+    Attributes
+    ----------
+    best:
+        The feasible winner — minimum ``(shr, total delay, merge id)``
+        among merge points within the delay bound — or None.
+    fastest:
+        When nothing is feasible: the minimum ``(total delay, shr, merge
+        id)`` priced merge point (the fallback choice), else None.
+    num_candidates:
+        Merge points priced: every reachable one after a complete
+        search, those within the limit after a bounded one.
+    num_feasible:
+        Priced merge points within the delay bound.
+    """
+
+    best: Candidate | None
+    fastest: Candidate | None
+    num_candidates: int
+    num_feasible: int
+
+
+class MergeSearch:
+    """One barrier search from ``joiner`` toward the tree, scored in place.
+
+    The search prices the connection to every merge point the
+    :func:`enumerate_candidates` contract admits (same exclusions, same
+    ``shr_values`` filter), and
+    :meth:`select` applies the Path Selection Criterion to the kernel's
+    ``dist`` array directly — a :class:`Candidate` is built, and its
+    graft path walked, only for the winner.  The result equals
+    ``select_path(enumerate_candidates(...))``; the property tests in
+    ``tests/properties/test_fused_selection.py`` pin that.
+
+    ``limit`` bounds the search: only nodes within that delay of
+    ``joiner`` are settled, and only settled merge points are priced.  A
+    reshape passes its delay bound: a merge point's total delay is at
+    least its connection delay, so none beyond the bound is feasible.
+
+    ``upstream`` (reshapes) is the mover's current attachment: reaching
+    it through the direct link merely re-selects the current path, so
+    that merge point is never a candidate.
+
+    ``obs`` accounts the search (``routing.candidates.batched_searches``)
+    and, per :meth:`select`, the merge points priced
+    (``routing.candidates.evaluated``) plus a ``search.candidates``
+    instant in an open restoration episode.
+    """
+
+    __slots__ = (
+        "_joiner", "_csr", "_search", "_merges", "_shr", "_delays", "_upstream", "_obs",
+    )
+
+    def __init__(
+        self,
+        topology: Topology,
+        tree: MulticastTree,
+        joiner: NodeId,
+        shr_values: dict[NodeId, int],
+        failures: FailureSet = NO_FAILURES,
+        excluded_nodes: frozenset[NodeId] = frozenset(),
+        mover: NodeId | None = None,
+        upstream: NodeId | None = None,
+        limit: float = INF,
+        obs=None,
+    ) -> None:
+        mask, on_tree = _search_scope(tree, failures, excluded_nodes, mover)
+        self._joiner = joiner
+        self._shr = shr_values
+        self._delays = tree.delays_from_source()
+        self._obs = obs
+        self._csr, self._search = barrier_search_arrays(
+            topology, joiner, on_tree, weight="delay", failures=mask, obs=obs,
+            limit=limit,
+        )
+        index_of = self._csr.index_of
+        self._merges = [
+            (node, index_of[node]) for node in on_tree if node in shr_values
+        ]
+        self._upstream = NO_PARENT if upstream is None else index_of[upstream]
+        if obs is not None:
+            obs.counter("routing.candidates.batched_searches").inc()
+
+    def _degenerate(self, index: int) -> bool:
+        """True when ``index`` is the upstream reached through the direct
+        link (decided once it is settled: its parent is final then)."""
+        return (
+            index == self._upstream != NO_PARENT
+            and self._search.parent[index] == self._search.source_index
+        )
+
+    def _candidate(self, merge: NodeId, index: int) -> Candidate:
+        """The :class:`Candidate` merging at settled node ``merge``."""
+        search = self._search
+        parent = search.parent
+        ids = self._csr.node_ids
+        graft: list[NodeId] = []
+        cursor = index
+        while cursor != NO_PARENT:  # merge → … → joiner along the parent chain
+            graft.append(ids[cursor])
+            cursor = parent[cursor]
+        delay = search.dist[index]
+        return Candidate(
+            merge_node=merge,
+            graft_path=tuple(graft),
+            new_delay=delay,
+            total_delay=self._delays[merge] + delay,
+            shr=self._shr[merge],
+        )
+
+    def select(self, bound: float) -> MergeScan:
+        """Apply the criterion with delay bound ``bound`` in one pass.
+
+        Feasible means ``total ≤ bound + 1e-12``, the tolerance of
+        :func:`repro.core.join.select_path`.  The scan also tracks the
+        minimum-delay merge point, built only when nothing is feasible.
+        """
+        search = self._search
+        best = fastest = None
+        priced = feasible = 0
+        if search is not None:
+            settled = search.settled
+            dist = search.dist
+            delays = self._delays
+            shr_values = self._shr
+            skip = self._upstream if self._degenerate(self._upstream) else NO_PARENT
+            limit = bound + 1e-12
+            best_key = fast_key = None
+            for merge, index in self._merges:
+                if not settled[index] or index == skip:
+                    continue
+                priced += 1
+                total = delays[merge] + dist[index]
+                shr = shr_values[merge]
+                if total <= limit:
+                    feasible += 1
+                    key = (shr, total, merge)
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (merge, index)
+                key = (total, shr, merge)
+                if fast_key is None or key < fast_key:
+                    fast_key, fastest = key, (merge, index)
+            if best is not None:
+                best, fastest = self._candidate(*best), None
+            elif fastest is not None:
+                fastest = self._candidate(*fastest)
+        _account(self._obs, self._joiner, priced)
+        return MergeScan(best, fastest, priced, feasible)
+
+    def reaches_merge(self) -> bool:
+        """Resume the search until an eligible, non-degenerate merge point
+        settles; True if one does.
+
+        For a bounded search that priced nothing: it tells "no
+        alternative attachment reachable" apart from "nothing within the
+        bound", settling no more than that takes.
+        """
+        search = self._search
+        if search is None:
+            return False
+        eligible = bytearray(self._csr.num_nodes)
+        for _, index in self._merges:
+            eligible[index] = 1
+
+        def stop(index: int) -> bool:
+            return bool(eligible[index]) and not self._degenerate(index)
+
+        return search.run(INF, stop) != NO_PARENT
+
+
+def _account(obs, joiner: NodeId, evaluated: int) -> None:
+    """Book ``evaluated`` priced merge points of one search on ``obs``."""
+    if obs is None:
+        return
+    obs.counter("routing.candidates.evaluated").inc(evaluated)
+    tracer = getattr(obs, "tracer", None)
+    if tracer is not None:
+        # When a restoration episode is open (DES recovery/reshape in
+        # flight), the candidate search shows up inside it as an instant
+        # span; otherwise this is a no-op.
+        tracer.ambient_instant(
+            "search.candidates", joiner, payload={"evaluated": evaluated}
+        )
+
+
+def _search_scope(
+    tree: MulticastTree,
+    failures: FailureSet,
+    excluded_nodes: frozenset[NodeId],
+    mover: NodeId | None,
+) -> tuple[FailureSet, set[NodeId]]:
+    """The search's failure mask and its barrier (merge-point) set."""
+    mask = failures
+    if excluded_nodes:
+        mask = failures.union(FailureSet(failed_nodes=frozenset(excluded_nodes)))
+    on_tree = set(tree.on_tree_nodes()) - set(excluded_nodes)
+    if mover is not None:
+        on_tree.discard(mover)
+    return mask, on_tree
+
+
 def enumerate_candidates(
     topology: Topology,
     tree: MulticastTree,
@@ -77,6 +292,12 @@ def enumerate_candidates(
     vectorized: bool | None = None,
 ) -> list[Candidate]:
     """All valid join options for ``joiner``, sorted by (shr, delay, id).
+
+    The full list, for callers that need every option (the public API,
+    :func:`repro.core.join.select_path` users, the query-scheme
+    comparison, and the property tests' oracle).  The protocols' own joins
+    and reshapes run :class:`MergeSearch` instead, which selects without
+    materializing the losers.
 
     Parameters
     ----------
@@ -118,12 +339,7 @@ def enumerate_candidates(
     dict path (property-tested); ``routing.batch.candidates_vectorized``
     counts the enumerations that took the array pass.
     """
-    mask = failures
-    if excluded_nodes:
-        mask = failures.union(FailureSet(failed_nodes=frozenset(excluded_nodes)))
-    on_tree = set(tree.on_tree_nodes()) - set(excluded_nodes)
-    if mover is not None:
-        on_tree.discard(mover)
+    mask, on_tree = _search_scope(tree, failures, excluded_nodes, mover)
     use_arrays = (
         topology.num_nodes >= VECTOR_MIN_NODES if vectorized is None else vectorized
     )
@@ -169,16 +385,7 @@ def enumerate_candidates(
         if use_arrays:
             obs.counter("routing.batch.candidates_vectorized").inc()
         obs.counter("routing.candidates.batched_searches").inc()
-        obs.counter("routing.candidates.evaluated").inc(len(candidates))
-        tracer = getattr(obs, "tracer", None)
-        if tracer is not None:
-            # When a restoration episode is open (DES recovery/reshape in
-            # flight), the candidate search shows up inside it as an
-            # instant span; otherwise this is a no-op.
-            tracer.ambient_instant(
-                "search.candidates", joiner,
-                payload={"evaluated": len(candidates)},
-            )
+        _account(obs, joiner, len(candidates))
     return candidates
 
 
@@ -204,11 +411,12 @@ def _score_candidates_arrays(
     """
     import numpy as np
 
-    csr, dist, parent, _ = barrier_search_arrays(
+    csr, search = barrier_search_arrays(
         topology, joiner, on_tree, weight="delay", failures=mask, obs=obs
     )
-    if dist is None or not on_tree:
+    if search is None or not on_tree:
         return []
+    dist, parent = search.dist, search.parent
     index_of = csr.index_of
     merges = [
         node

@@ -26,8 +26,7 @@ from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.multicast.validation import check_tree_invariants
 from repro.obs import NULL_OBS, Observability
-from repro.core.candidates import enumerate_candidates
-from repro.core.join import PathSelection, select_path
+from repro.core.join import PathSelection, select_join, select_path
 from repro.core.leave import LeaveOutcome, process_leave
 from repro.core.query import enumerate_candidates_query
 from repro.core.recovery import (
@@ -203,21 +202,24 @@ class SMRPProtocol:
                 self._c_query_messages.inc(query_stats.queries_sent)
                 self._c_query_hops.inc(query_stats.query_hops)
                 self._c_msg_query.inc(query_stats.queries_sent)
+                selection = select_path(
+                    candidates,
+                    self._spf_delay(member, failures),
+                    self.config.d_thresh,
+                    allow_fallback=self.config.allow_fallback,
+                )
             else:
-                candidates = enumerate_candidates(
+                selection = select_join(
                     self.topology,
                     self.tree,
                     member,
                     shr_values,
+                    self._spf_delay(member, failures),
+                    self.config.d_thresh,
                     failures=failures,
+                    allow_fallback=self.config.allow_fallback,
                     obs=self.obs,
                 )
-            selection = select_path(
-                candidates,
-                self._spf_delay(member, failures),
-                self.config.d_thresh,
-                allow_fallback=self.config.allow_fallback,
-            )
             if selection.fallback:
                 self.stats.fallback_joins += 1
                 self._c_fallback_joins.inc()

@@ -27,18 +27,26 @@ paper spells out:
 The move is performed only when the new merge point's adjusted SHR is
 *strictly* smaller than the current attachment's — equal-SHR moves are
 refused to prevent oscillation under Condition II.
+
+Only merge points within the delay bound can win, so the evaluation
+looks up ``D^{SPF}`` first and its candidate search
+(:class:`~repro.core.candidates.MergeSearch`) settles nothing beyond
+``(1 + D_thresh) · D^{SPF}``; it resumes past the bound only to tell
+"no alternative attachment reachable" from "no candidate within the
+delay bound" when nothing within it was found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import JoinRejectedError, MulticastError, NotOnTreeError
+from repro.errors import MulticastError, NotOnTreeError
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
-from repro.core.candidates import enumerate_candidates
-from repro.core.join import select_path
+from repro.core.candidates import MergeSearch
+from repro.core.join import delay_bound
 from repro.core.shr import adjusted_shr_table
+from repro.routing.csr import INF
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.spf import dijkstra
 
@@ -111,38 +119,12 @@ def _evaluate_reshape(
     # current attachment's) instead of a quadratic per-merge-point walk.
     table = adjusted_shr_table(tree, node, obs=obs)
     current_adjusted = table[upstream]
-
-    subtree = tree.subtree_nodes(node)
-    adjusted_shr = {
-        merge: table[merge]
-        for merge in tree.on_tree_nodes()
-        if merge not in subtree
-    }
-    candidates = enumerate_candidates(
-        topology,
-        tree,
-        joiner=node,
-        shr_values=adjusted_shr,
-        failures=failures,
-        excluded_nodes=frozenset(subtree - {node}),
-        mover=node,
-        obs=obs,
+    declined = dict(
+        node=node,
+        performed=False,
+        current_upstream=upstream,
+        current_shr_adjusted=current_adjusted,
     )
-    # Discard the degenerate candidate that re-selects the current
-    # attachment through the same upstream link.
-    candidates = [
-        c
-        for c in candidates
-        if not (len(c.graft_path) == 2 and c.merge_node == upstream)
-    ]
-    if not candidates:
-        return ReshapeDecision(
-            node=node,
-            performed=False,
-            reason="no alternative attachment reachable",
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
-        )
 
     if route_cache is not None:
         spf = route_cache.shortest_paths(
@@ -150,40 +132,46 @@ def _evaluate_reshape(
         )
     else:
         spf = dijkstra(topology, node, weight="delay", failures=failures)
-    if tree.source not in spf.dist:
+    spf_delay = spf.dist.get(tree.source)
+    # No merge point beyond the delay bound can be feasible (its total
+    # delay is at least its connection delay), so the search settles
+    # nothing past it.  An unreachable source admits no bound at all.
+    bound = -INF if spf_delay is None else (1.0 + d_thresh) * spf_delay
+    search = MergeSearch(
+        topology,
+        tree,
+        node,
+        table,
+        failures=failures,
+        excluded_nodes=frozenset(tree.subtree_nodes(node) - {node}),
+        mover=node,
+        upstream=upstream,
+        limit=bound + 1e-12,
+        obs=obs,
+    )
+    scan = search.select(bound)
+    chosen = scan.best
+    if chosen is None and not scan.num_candidates and not search.reaches_merge():
         return ReshapeDecision(
-            node=node,
-            performed=False,
-            reason="source unreachable",
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
+            reason="no alternative attachment reachable", **declined
         )
-    try:
-        selection = select_path(
-            candidates, spf.dist[tree.source], d_thresh, allow_fallback=False
-        )
-    except JoinRejectedError:
+    if spf_delay is None:
+        return ReshapeDecision(reason="source unreachable", **declined)
+    delay_bound(spf_delay, d_thresh)  # the same input checks as select_path
+    if chosen is None:
         return ReshapeDecision(
-            node=node,
-            performed=False,
-            reason="no candidate within the delay bound",
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
+            reason="no candidate within the delay bound", **declined
         )
 
-    chosen = selection.candidate
     if chosen.shr >= current_adjusted:
         return ReshapeDecision(
-            node=node,
-            performed=False,
             reason=(
                 f"best alternative SHR {chosen.shr} does not improve on "
                 f"current {current_adjusted}"
             ),
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
             new_merge_node=chosen.merge_node,
             new_shr_adjusted=chosen.shr,
+            **declined,
         )
     return ReshapeDecision(
         node=node,

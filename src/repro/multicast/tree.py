@@ -23,7 +23,8 @@ incrementally, as the distributed protocol does (§3.2.1): ``N_R`` for
 every on-tree node is updated only along the path to the source of each
 mutation, and the Equation (2) SHR table is cached per mutation
 :attr:`~MulticastTree.version`, so neither is ever recounted from
-scratch between two mutations.
+scratch between two mutations; the per-node on-tree delay table is
+cached the same way.
 
 All mutators validate their inputs against the topology and the current
 tree, and the structure can always be re-checked with
@@ -65,6 +66,10 @@ class MulticastTree:
         # The Equation (2) SHR table and the version it was built at.
         self._shr: dict[NodeId, int] = {}
         self._shr_version = -1
+        # The on-tree delay table and the (version, topology state) it
+        # was built at.
+        self._delays: dict[NodeId, float] = {}
+        self._delays_key: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -135,23 +140,30 @@ class MulticastTree:
         """``D_{S,node}`` for *every* on-tree node, in one traversal.
 
         Equivalent to calling :meth:`delay_from_source` per node but
-        linear in the tree size instead of quadratic: candidate
-        enumeration prices every merge point of every join with it.
+        linear in the tree size instead of quadratic: candidate search
+        prices every merge point of every join and reshape with it.
         Accumulation runs top-down (``delay(child) = delay(node) + link``),
         the same left-to-right summation order as the per-node path walk,
-        so the floats are bit-identical.
+        so the floats are bit-identical.  Built once per :attr:`version`
+        (and topology state) and cached; the returned dict is the cache
+        itself: callers must copy it before changing it.
         """
-        adjacency = self.topology.adjacency()
-        delays: dict[NodeId, float] = {self.source: 0.0}
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            d = delays[node]
-            row = adjacency[node]
-            for child in self._children[node]:
-                delays[child] = d + row[child]
-                stack.append(child)
-        return delays
+        key = (self._version, self.topology.cache_token())
+        if self._delays_key != key:
+            adjacency = self.topology.adjacency()
+            children = self._children
+            delays: dict[NodeId, float] = {self.source: 0.0}
+            stack = [self.source]
+            while stack:
+                node = stack.pop()
+                d = delays[node]
+                row = adjacency[node]
+                for child in children[node]:
+                    delays[child] = d + row[child]
+                    stack.append(child)
+            self._delays = delays
+            self._delays_key = key
+        return self._delays
 
     def tree_cost(self) -> float:
         """Total cost of the tree (the paper's ``Cost_T``)."""

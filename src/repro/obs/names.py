@@ -70,7 +70,10 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "routing.batch.rounds",
     "routing.batch.shr_calls",
     "routing.batch.shr_vectorized",
+    # One per candidate search: every graft join and reshape evaluation.
     "routing.candidates.batched_searches",
+    # Merge points priced: every reachable one for a join or a full
+    # enumeration, those within the delay bound for a reshape.
     "routing.candidates.evaluated",
     "routing.kernel.barrier_calls",
     "routing.kernel.calls",

@@ -22,9 +22,10 @@ topology state* into a **compressed sparse row** form:
   (:func:`compile_failures`), turning the per-edge failure test into two
   bytearray probes.
 
-The kernels (:func:`csr_dijkstra`, :func:`csr_dijkstra_barriers`) are
-drop-in replacements for the reference implementations in
-:mod:`repro.routing.spf_reference`: they perform the same float
+The kernels (:func:`csr_dijkstra`, :func:`csr_dijkstra_barriers`, both
+one :class:`DijkstraSearch` run to completion) are drop-in replacements
+for the reference implementations in :mod:`repro.routing.spf_reference`:
+they perform the same float
 operations in the same order, push the same heap entries, and apply the
 same smaller-predecessor tie-break, so their output — including dict
 *insertion order*, which downstream routing tables iterate — is
@@ -233,6 +234,128 @@ def compile_failures(
     return node_dead, arc_blocked
 
 
+class DijkstraSearch:
+    """A resumable single-source shortest-path search over a compiled graph.
+
+    The search state — ``dist``/``parent`` (flat index-addressed arrays,
+    ``INF`` / :data:`NO_PARENT` when unreached), ``order`` (node indices
+    in first-discovery order), the per-node ``settled`` bitset and the
+    heap — lives on the object, so :meth:`run` can stop early and be
+    called again to continue.  Pop order never depends on where a run
+    stopped: every heap entry ``(dist, predecessor, node)`` is unique, so
+    a bounded run resumed to ``INF`` performs exactly the operations of
+    one full run, and every node settled before a stop already carries
+    its final ``dist`` and ``parent``.
+
+    ``barriers`` (optional per-node bitset) marks nodes that may be
+    settled but never traversed; the ``source_index`` itself is always
+    traversable, matching :func:`repro.routing.spf.dijkstra_with_barriers`.
+    """
+
+    __slots__ = (
+        "csr", "source_index", "weights", "mask", "barriers",
+        "dist", "parent", "order", "settled", "_heap",
+    )
+
+    def __init__(
+        self,
+        csr: CsrGraph,
+        source_index: int,
+        weights: list[float],
+        mask: tuple[bytearray, bytearray] | None,
+        barriers: bytearray | None = None,
+    ) -> None:
+        n = csr.num_nodes
+        self.csr = csr
+        self.source_index = source_index
+        self.weights = weights
+        self.mask = mask
+        self.barriers = barriers
+        self.dist = [INF] * n
+        self.parent = [NO_PARENT] * n
+        self.order: list[int] = []
+        self.settled = bytearray(n)
+        self._heap: list[tuple[float, int, int]] = []
+        if n:
+            self.dist[source_index] = 0.0
+            self.order.append(source_index)
+            self._heap.append((0.0, NO_PARENT, source_index))
+
+    def run(self, limit: float = INF, stop=None) -> int:
+        """Settle nodes while the heap minimum is at most ``limit``.
+
+        ``stop`` (optional) is called with the index of every barrier
+        node this run settles (the source excepted); the run ends as soon
+        as it returns true and that index is returned.  Otherwise returns
+        :data:`NO_PARENT` once the heap is empty or its minimum exceeds
+        ``limit`` — a later call with a larger limit continues from there.
+
+        Ties between equal-length paths keep the smaller predecessor
+        *index*, which equals the smaller predecessor *id* because indices
+        are assigned in sorted-id order.
+        """
+        heap = self._heap
+        dist = self.dist
+        parent = self.parent
+        order = self.order
+        settled = self.settled
+        weights = self.weights
+        barriers = self.barriers
+        source_index = self.source_index
+        indptr = self.csr.indptr
+        nbr = self.csr.nbr
+        if self.mask is None:
+            node_dead = arc_blocked = None
+        else:
+            node_dead, arc_blocked = self.mask
+        push = heapq.heappush
+        pop = heapq.heappop
+        while heap:
+            entry = pop(heap)
+            dist_u, _, u = entry
+            if dist_u > limit:
+                push(heap, entry)  # entries are unique: pop order unchanged
+                break
+            if settled[u]:
+                continue
+            settled[u] = 1
+            if barriers is not None and barriers[u] and u != source_index:
+                # Reachable, but not traversable.
+                if stop is not None and stop(u):
+                    return u
+                continue
+            for arc in range(indptr[u], indptr[u + 1]):
+                v = nbr[arc]
+                if settled[v]:
+                    continue
+                if arc_blocked is not None and (arc_blocked[arc] or node_dead[v]):
+                    continue
+                candidate = dist_u + weights[arc]
+                best = dist[v]
+                if candidate < best - 1e-12:
+                    if best == INF:
+                        order.append(v)
+                    dist[v] = candidate
+                    parent[v] = u
+                    push(heap, (candidate, u, v))
+                elif abs(candidate - best) <= 1e-12:
+                    # Tie: prefer the smaller predecessor for determinism.
+                    # The source keeps NO_PARENT (never replaced).
+                    current = parent[v]
+                    if current != NO_PARENT and u < current:
+                        parent[v] = u
+                        push(heap, (candidate, u, v))
+        return NO_PARENT
+
+
+def barrier_flags(csr: CsrGraph, barrier_indices) -> bytearray:
+    """Compile an iterable of node indices to a per-node barrier bitset."""
+    flags = bytearray(csr.num_nodes)
+    for i in barrier_indices:
+        flags[i] = 1
+    return flags
+
+
 def csr_dijkstra(
     csr: CsrGraph,
     source_index: int,
@@ -242,71 +365,17 @@ def csr_dijkstra(
 ) -> tuple[list[float], list[int], list[int]]:
     """Array-based single-source shortest paths over a compiled graph.
 
-    Returns ``(dist, parent, order)`` where ``dist``/``parent`` are flat
-    index-addressed arrays (``INF`` / :data:`NO_PARENT` when unreached)
-    and ``order`` lists node indices in first-discovery order — the dict
-    insertion order the reference implementation produces, which callers
-    use to rebuild :class:`~repro.routing.spf.ShortestPaths` mappings
-    bit-identically.
-
-    ``barriers`` (optional per-node bitset) marks nodes that may be
-    settled but never traversed; the ``source_index`` itself is always
-    traversable, matching
-    :func:`repro.routing.spf.dijkstra_with_barriers`.
-
-    Ties between equal-length paths keep the smaller predecessor *index*,
-    which equals the smaller predecessor *id* because indices are assigned
-    in sorted-id order.
+    One :class:`DijkstraSearch` run to ``INF``.  Returns ``(dist, parent,
+    order)`` where ``dist``/``parent`` are flat index-addressed arrays
+    (``INF`` / :data:`NO_PARENT` when unreached) and ``order`` lists node
+    indices in first-discovery order — the dict insertion order the
+    reference implementation produces, which callers use to rebuild
+    :class:`~repro.routing.spf.ShortestPaths` mappings bit-identically.
+    ``barriers`` is as in :class:`DijkstraSearch`.
     """
-    n = csr.num_nodes
-    dist = [INF] * n
-    parent = [NO_PARENT] * n
-    order: list[int] = []
-    if n == 0:
-        return dist, parent, order
-
-    indptr = csr.indptr
-    nbr = csr.nbr
-    if mask is None:
-        node_dead = arc_blocked = None
-    else:
-        node_dead, arc_blocked = mask
-
-    dist[source_index] = 0.0
-    order.append(source_index)
-    heap: list[tuple[float, int, int]] = [(0.0, NO_PARENT, source_index)]
-    settled = bytearray(n)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        dist_u, _, u = pop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        if barriers is not None and barriers[u] and u != source_index:
-            continue  # reachable, but not traversable
-        for arc in range(indptr[u], indptr[u + 1]):
-            v = nbr[arc]
-            if settled[v]:
-                continue
-            if arc_blocked is not None and (arc_blocked[arc] or node_dead[v]):
-                continue
-            candidate = dist_u + weights[arc]
-            best = dist[v]
-            if candidate < best - 1e-12:
-                if best == INF:
-                    order.append(v)
-                dist[v] = candidate
-                parent[v] = u
-                push(heap, (candidate, u, v))
-            elif abs(candidate - best) <= 1e-12:
-                # Tie: prefer the smaller predecessor for determinism.
-                # The source keeps NO_PARENT (never replaced).
-                current = parent[v]
-                if current != NO_PARENT and u < current:
-                    parent[v] = u
-                    push(heap, (candidate, u, v))
-    return dist, parent, order
+    search = DijkstraSearch(csr, source_index, weights, mask, barriers)
+    search.run()
+    return search.dist, search.parent, search.order
 
 
 def csr_dijkstra_barriers(
@@ -322,7 +391,6 @@ def csr_dijkstra_barriers(
     a per-node bitset once per call (the search itself then pays two array
     probes per settled node, not a set lookup per edge).
     """
-    flags = bytearray(csr.num_nodes)
-    for i in barrier_indices:
-        flags[i] = 1
-    return csr_dijkstra(csr, source_index, weights, mask, barriers=flags)
+    return csr_dijkstra(
+        csr, source_index, weights, mask, barriers=barrier_flags(csr, barrier_indices)
+    )

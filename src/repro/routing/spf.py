@@ -36,11 +36,13 @@ from dataclasses import dataclass, field
 from repro.errors import NoPathError, RoutingError, TopologyError
 from repro.graph.topology import NodeId, Topology
 from repro.routing.csr import (
+    INF,
     NO_PARENT,
     CsrGraph,
+    DijkstraSearch,
+    barrier_flags,
     compile_failures,
     csr_dijkstra,
-    csr_dijkstra_barriers,
 )
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 
@@ -169,33 +171,38 @@ def barrier_search_arrays(
     weight: str = "delay",
     failures: FailureSet = NO_FAILURES,
     obs=None,
-) -> tuple[CsrGraph, list[float] | None, list[int] | None, list[int] | None]:
-    """Raw kernel output of a barrier-constrained search.
+    limit: float = INF,
+) -> tuple[CsrGraph, DijkstraSearch | None]:
+    """Raw kernel state of a barrier-constrained search.
 
-    Returns ``(csr, dist, parent, order)`` exactly as
-    :func:`~repro.routing.csr.csr_dijkstra_barriers` produced them —
-    flat index-addressed arrays, no dict materialization.  The vectorized
-    candidate scorer in :mod:`repro.core.candidates` consumes these
-    directly; :func:`dijkstra_with_barriers` is the dict-building wrapper
-    around this call.  A failed ``source`` short-circuits to
-    ``(csr, None, None, None)`` (the wrapper's empty-result semantics)
-    without running the kernel.
+    Returns ``(csr, search)``: the :class:`~repro.routing.csr.DijkstraSearch`
+    after one run up to ``limit`` — its flat index-addressed ``dist`` /
+    ``parent`` / ``order`` / ``settled`` arrays, no dict materialization.
+    With the default ``limit`` the search is complete; a bounded search
+    has settled exactly the nodes within ``limit`` of ``source`` and can
+    be resumed with :meth:`~repro.routing.csr.DijkstraSearch.run`.  The
+    candidate selection in :mod:`repro.core.candidates` consumes the
+    arrays directly; :func:`dijkstra_with_barriers` is the dict-building
+    wrapper around this call.  A failed ``source`` short-circuits to
+    ``(csr, None)`` (the wrapper's empty-result semantics) without
+    running the kernel.
     """
     _check_args(topology, source, weight)
     csr = topology.csr()
     if failures.node_failed(source):
-        return csr, None, None, None
+        return csr, None
     if obs is not None:
         obs.counter("routing.kernel.barrier_calls").inc()
     index_of = csr.index_of
-    dist, parent, order = csr_dijkstra_barriers(
+    search = DijkstraSearch(
         csr,
         index_of[source],
         csr.weight_list(weight),
         compile_failures(csr, failures),
-        (index_of[b] for b in barriers if b in index_of),
+        barrier_flags(csr, (index_of[b] for b in barriers if b in index_of)),
     )
-    return csr, dist, parent, order
+    search.run(limit)
+    return csr, search
 
 
 def dijkstra_with_barriers(
@@ -221,12 +228,12 @@ def dijkstra_with_barriers(
     the batched candidate enumeration in :mod:`repro.core.candidates`
     a single-kernel operation.
     """
-    csr, dist, parent, order = barrier_search_arrays(
+    csr, search = barrier_search_arrays(
         topology, source, barriers, weight=weight, failures=failures, obs=obs
     )
-    if dist is None:
+    if search is None:
         return ShortestPaths(source=source)
-    return _to_shortest_paths(source, csr, dist, parent, order)
+    return _to_shortest_paths(source, csr, search.dist, search.parent, search.order)
 
 
 def shortest_path(

@@ -1,13 +1,14 @@
 """Stateful property tests: the state the tree and the manager maintain
 incrementally always equals a recount from scratch.
 
-:class:`~repro.multicast.tree.MulticastTree` keeps ``N_R`` and the
-Equation (2) SHR table up to date across mutations, and
-:class:`~repro.core.state.StateManager` keeps only the Condition-I
-baselines.  The machine below drives random tree mutations, copies and
+:class:`~repro.multicast.tree.MulticastTree` keeps ``N_R``, the
+Equation (2) SHR table and the on-tree delay table up to date across
+mutations, and :class:`~repro.core.state.StateManager` keeps only the
+Condition-I baselines.  The machine below drives random tree mutations, copies and
 repairs on seeded Waxman topologies and, after every step, compares that
-state with :func:`subtree_member_counts`, :func:`shr_incremental` and a
-reference manager that rebuilds everything after every event.
+state with :func:`subtree_member_counts`, :func:`shr_incremental`,
+per-node :meth:`~MulticastTree.delay_from_source` walks and a reference
+manager that rebuilds everything after every event.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -201,6 +202,10 @@ class TreeStateMachine(RuleBasedStateMachine):
         assert list(tree.shr_values().items()) == list(
             shr_incremental(tree).items()
         )
+        # The cached on-tree delay table equals the per-node path walk.
+        assert tree.delays_from_source() == {
+            node: tree.delay_from_source(node) for node in tree.on_tree_nodes()
+        }
 
     @invariant()
     def condition_i_matches_reference(self):
