@@ -88,7 +88,7 @@ def test_disabled_obs_registers_nothing():
     assert obs.metrics.snapshot() == {
         "counters": {},
         "gauges": {},
-        "histograms": {},
+        "hdr_histograms": {},
     }
 
 

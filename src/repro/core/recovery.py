@@ -162,7 +162,7 @@ def local_detour_recovery(
     target = min(reachable, key=lambda node: (paths.dist[node], node))
     detour = _truncate_at_first_contact(paths.path_to(target), surviving)
     attach = detour[-1]
-    obs.histogram("recovery.local.hops").observe(len(detour) - 1)
+    obs.hdr_histogram("recovery.local.hops").observe(len(detour) - 1)
     result = RecoveryResult(
         member=member,
         strategy="local",
@@ -228,7 +228,7 @@ def global_detour_recovery(
     rejoin = paths.path_to(tree.source)
     detour = _truncate_at_first_contact(rejoin, surviving)
     attach = detour[-1]
-    obs.histogram("recovery.global.hops").observe(len(detour) - 1)
+    obs.hdr_histogram("recovery.global.hops").observe(len(detour) - 1)
     result = RecoveryResult(
         member=member,
         strategy="global",

@@ -12,8 +12,12 @@ weights:
     sum of link costs.  By default ``cost == delay`` (as in the paper's
     figures, where one number labels each link), but the two can differ.
 
-The class wraps :class:`networkx.Graph` for storage while exposing a small,
-explicit API so the rest of the library never touches raw attribute dicts.
+Storage is one adjacency dict ``{u: {v: Link}}`` in which both directions
+of a link point at the same frozen :class:`Link`, plus a positions dict.
+Both dicts keep insertion order, which is what neighbour iteration
+(:meth:`Topology.adjacency`) and component order
+(:meth:`Topology.connected_components`) follow.  Queries hand back the
+stored links; nothing is rebuilt per call.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from repro.errors import TopologyError
 
@@ -102,7 +104,8 @@ class Topology:
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        self._adj: dict[NodeId, dict[NodeId, Link]] = {}
+        self._pos: dict[NodeId, tuple[float, float] | None] = {}
         self._adjacency_cache: dict[NodeId, dict[NodeId, float]] | None = None
         self._csr_cache = None
         self._cache_token = next(_CACHE_TOKENS)
@@ -112,9 +115,10 @@ class Topology:
     # ------------------------------------------------------------------
     def add_node(self, node: NodeId, pos: tuple[float, float] | None = None) -> None:
         """Add a node, optionally with a 2-D position (used by Waxman)."""
-        if node in self._graph:
+        if node in self._adj:
             raise TopologyError(f"node {node} already exists")
-        self._graph.add_node(node, pos=pos)
+        self._adj[node] = {}
+        self._pos[node] = pos
         self._invalidate_caches()
 
     def add_link(
@@ -127,27 +131,31 @@ class Topology:
         if u == v:
             raise TopologyError(f"self-loop on node {u} is not allowed")
         for node in (u, v):
-            if node not in self._graph:
+            if node not in self._adj:
                 raise TopologyError(f"node {node} does not exist")
-        if self._graph.has_edge(u, v):
+        if v in self._adj[u]:
             raise TopologyError(f"link {edge_key(u, v)} already exists")
         link = Link(*edge_key(u, v), delay=delay, cost=cost if cost is not None else delay)
-        self._graph.add_edge(link.u, link.v, delay=link.delay, cost=link.cost)
+        self._adj[link.u][link.v] = link
+        self._adj[link.v][link.u] = link
         self._invalidate_caches()
         return link
 
     def remove_link(self, u: NodeId, v: NodeId) -> None:
         """Permanently remove a link (topology change, not a failure)."""
-        if not self._graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise TopologyError(f"link {edge_key(u, v)} does not exist")
-        self._graph.remove_edge(u, v)
+        del self._adj[u][v]
+        del self._adj[v][u]
         self._invalidate_caches()
 
     def remove_node(self, node: NodeId) -> None:
         """Permanently remove a node and its incident links."""
-        if node not in self._graph:
+        if node not in self._adj:
             raise TopologyError(f"node {node} does not exist")
-        self._graph.remove_node(node)
+        for neighbor in self._adj.pop(node):
+            del self._adj[neighbor][node]
+        del self._pos[node]
         self._invalidate_caches()
 
     # ------------------------------------------------------------------
@@ -155,38 +163,41 @@ class Topology:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def nodes(self) -> list[NodeId]:
         """All node ids, sorted for determinism."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     def links(self) -> list[Link]:
         """All links, in canonical-key order."""
-        out = []
-        for u, v, data in self._graph.edges(data=True):
-            a, b = edge_key(u, v)
-            out.append(Link(a, b, delay=data["delay"], cost=data["cost"]))
+        out = [
+            link
+            for u, nbrs in self._adj.items()
+            for link in nbrs.values()
+            if u == link.u
+        ]
         out.sort(key=lambda link: link.key)
         return out
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._adj
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
-        return self._graph.has_edge(u, v)
+        nbrs = self._adj.get(u)
+        return nbrs is not None and v in nbrs
 
     def link(self, u: NodeId, v: NodeId) -> Link:
         """Return the :class:`Link` between ``u`` and ``v``."""
-        if not self._graph.has_edge(u, v):
+        nbrs = self._adj.get(u)
+        link = nbrs.get(v) if nbrs is not None else None
+        if link is None:
             raise TopologyError(f"link {edge_key(u, v)} does not exist")
-        data = self._graph.edges[u, v]
-        a, b = edge_key(u, v)
-        return Link(a, b, delay=data["delay"], cost=data["cost"])
+        return link
 
     def delay(self, u: NodeId, v: NodeId) -> float:
         return self.link(u, v).delay
@@ -195,14 +206,14 @@ class Topology:
         return self.link(u, v).cost
 
     def neighbors(self, node: NodeId) -> Iterator[NodeId]:
-        if node not in self._graph:
+        if node not in self._adj:
             raise TopologyError(f"node {node} does not exist")
-        return iter(sorted(self._graph.neighbors(node)))
+        return iter(sorted(self._adj[node]))
 
     def degree(self, node: NodeId) -> int:
-        if node not in self._graph:
+        if node not in self._adj:
             raise TopologyError(f"node {node} does not exist")
-        return self._graph.degree(node)
+        return len(self._adj[node])
 
     def average_degree(self) -> float:
         """Realised average node degree (2E/N)."""
@@ -212,9 +223,9 @@ class Topology:
 
     def position(self, node: NodeId) -> tuple[float, float] | None:
         """The node's planar position, if one was assigned."""
-        if node not in self._graph:
+        if node not in self._adj:
             raise TopologyError(f"node {node} does not exist")
-        return self._graph.nodes[node].get("pos")
+        return self._pos[node]
 
     def path_delay(self, path: Iterable[NodeId]) -> float:
         """Sum of link delays along a node path."""
@@ -228,18 +239,41 @@ class Topology:
         nodes = list(path)
         total = 0.0
         for u, v in zip(nodes, nodes[1:]):
-            if not self._graph.has_edge(u, v):
+            nbrs = self._adj.get(u)
+            if nbrs is None or v not in nbrs:
                 raise TopologyError(f"path uses missing link {edge_key(u, v)}")
-            total += self._graph.edges[u, v][attr]
+            total += getattr(nbrs[v], attr)
         return total
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._component(next(iter(self._adj)))) == self.num_nodes
 
     def connected_components(self) -> list[set[NodeId]]:
-        return [set(c) for c in nx.connected_components(self._graph)]
+        """Components in order of their first node by insertion order."""
+        components: list[set[NodeId]] = []
+        seen: set[NodeId] = set()
+        for node in self._adj:
+            if node not in seen:
+                component = self._component(node)
+                seen.update(component)
+                components.append(component)
+        return components
+
+    def _component(self, root: NodeId) -> set[NodeId]:
+        """Nodes reachable from ``root``, by level-order BFS."""
+        adj = self._adj
+        seen = {root}
+        frontier = [root]
+        while frontier:
+            level, frontier = frontier, []
+            for u in level:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+        return seen
 
     # ------------------------------------------------------------------
     # Views and export
@@ -260,14 +294,6 @@ class Topology:
         """
         return self._cache_token
 
-    def graph_view(self) -> nx.Graph:
-        """Read-only view of the underlying networkx graph.
-
-        Exposed for algorithms (e.g. cross-validation against networkx in
-        tests); mutation must go through the :class:`Topology` API.
-        """
-        return self._graph.copy(as_view=True)
-
     def adjacency(self) -> Mapping[NodeId, dict[NodeId, float]]:
         """Delay-weighted adjacency mapping ``{u: {v: delay}}``.
 
@@ -277,8 +303,8 @@ class Topology:
         """
         if self._adjacency_cache is None:
             self._adjacency_cache = {
-                u: {v: data["delay"] for v, data in self._graph.adj[u].items()}
-                for u in self._graph.nodes
+                u: {v: link.delay for v, link in nbrs.items()}
+                for u, nbrs in self._adj.items()
             }
         return self._adjacency_cache
 
@@ -299,9 +325,13 @@ class Topology:
         return self._csr_cache
 
     def copy(self, name: str | None = None) -> "Topology":
-        """Deep copy; topology mutations on the copy do not affect this one."""
+        """Copy; topology mutations on the copy do not affect this one.
+
+        Links are frozen, so the copy shares them; only the dicts are new.
+        """
         clone = Topology(name or self.name)
-        clone._graph = self._graph.copy()
+        clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        clone._pos = dict(self._pos)
         return clone
 
     def validate(self) -> None:
@@ -310,21 +340,18 @@ class Topology:
         Checks: positive weights, no self-loops, and (when positions exist)
         positions present on every node.
         """
-        positioned = 0
-        for node in self._graph.nodes:
-            if self._graph.nodes[node].get("pos") is not None:
-                positioned += 1
+        positioned = sum(pos is not None for pos in self._pos.values())
         if positioned not in (0, self.num_nodes):
             raise TopologyError(
                 f"{self.name}: {positioned}/{self.num_nodes} nodes have positions; "
                 "positions must be assigned to all nodes or none"
             )
-        for u, v, data in self._graph.edges(data=True):
-            if u == v:
-                raise TopologyError(f"{self.name}: self-loop on node {u}")
-            if data.get("delay", 0) <= 0 or data.get("cost", 0) <= 0:
+        for link in self.links():
+            if link.u == link.v:
+                raise TopologyError(f"{self.name}: self-loop on node {link.u}")
+            if link.delay <= 0 or link.cost <= 0:
                 raise TopologyError(
-                    f"{self.name}: link {edge_key(u, v)} has non-positive weight"
+                    f"{self.name}: link {link.key} has non-positive weight"
                 )
 
     def __repr__(self) -> str:

@@ -4,11 +4,12 @@ The paper's evaluation is entirely empirical — recovery latency, message
 overhead (§4.4), tree cost — so this package makes those quantities
 first-class measured outputs of any run instead of ad-hoc return values:
 
-- :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
-  (hop counts), and log-bucketed :class:`HdrHistogram` quantile trackers
-  for latency-shaped metrics;
+- :class:`MetricsRegistry` — counters, gauges, and one histogram family:
+  log-bucketed :class:`HdrHistogram` quantile trackers, used for hop
+  counts and latencies alike;
 - :class:`SpanProfiler` — hierarchical ``perf_counter`` timing tree;
-- :class:`EventLog` — bounded structured events, exportable as JSONL;
+- :class:`EventLog` — bounded structured events, counted in the run
+  report as recorded/dropped;
 - run reports — one JSON document per run (``repro obs report`` renders it).
 
 The :class:`Observability` facade bundles the three and is what the
@@ -41,7 +42,7 @@ from repro.obs.diff import (
     render_report_diff,
     span_totals,
 )
-from repro.obs.events import DEFAULT_MAX_EVENTS, EventLog, load_jsonl, read_jsonl
+from repro.obs.events import DEFAULT_MAX_EVENTS, EventLog
 from repro.obs.export import (
     OPENMETRICS_PREFIX,
     REPORT_VERSION,
@@ -74,12 +75,10 @@ from repro.obs.prof import (
     self_time_total,
 )
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     DEFAULT_HDR_GROWTH,
     Counter,
     Gauge,
     HdrHistogram,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.spans import SpanNode, SpanProfiler
@@ -130,9 +129,6 @@ class Observability:
     def gauge(self, name: str):
         return self.metrics.gauge(name)
 
-    def histogram(self, name: str, bounds=DEFAULT_BUCKETS):
-        return self.metrics.histogram(name, bounds)
-
     def hdr_histogram(self, name: str, growth=DEFAULT_HDR_GROWTH):
         return self.metrics.hdr_histogram(name, growth)
 
@@ -156,9 +152,7 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "HdrHistogram",
-    "DEFAULT_BUCKETS",
     "DEFAULT_HDR_GROWTH",
     "SpanProfiler",
     "SpanNode",
@@ -170,8 +164,6 @@ __all__ = [
     "render_profile",
     "EventLog",
     "DEFAULT_MAX_EVENTS",
-    "read_jsonl",
-    "load_jsonl",
     "REPORT_VERSION",
     "build_run_report",
     "write_run_report",

@@ -1,9 +1,9 @@
-"""The structured event stream: an in-memory log exportable as JSONL.
+"""The structured event stream: a bounded in-memory log.
 
 Where :class:`~repro.obs.registry.MetricsRegistry` keeps *aggregates*,
 the event log keeps *individual occurrences* with arbitrary structured
-fields — suitable for post-hoc analysis of a single run (``jq`` over a
-``.jsonl`` file, or :func:`read_jsonl` back into dicts).
+fields, readable by iterating the log; run reports carry its
+recorded/dropped accounting.
 
 The log is bounded by default so instrumenting a long DES run cannot grow
 memory without limit; the oldest events are dropped first and the drop
@@ -12,7 +12,6 @@ count is retained.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterator
 
@@ -65,25 +64,3 @@ class EventLog:
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self._records)
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line (empty string for an empty log)."""
-        return "\n".join(
-            json.dumps(r, sort_keys=True, default=str) for r in self._records
-        )
-
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            text = self.to_jsonl()
-            if text:
-                fh.write(text + "\n")
-
-
-def read_jsonl(text: str) -> list[dict]:
-    """Parse JSONL text back into event dicts (inverse of ``to_jsonl``)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def load_jsonl(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_jsonl(fh.read())

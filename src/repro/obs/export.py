@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -106,39 +105,6 @@ def render_run_report(report: dict) -> str:
                 f"  {name:<{width}}  {g['value']:g} (high-water {g['high_water']:g})"
             )
 
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        lines.append("")
-        lines.append("histograms:")
-        for name in sorted(histograms):
-            h = histograms[name]
-            # Mid-run partial state may include a registered histogram
-            # with zero observations: guard the mean and render missing
-            # extrema as em-dashes instead of "None".
-            mean = h["sum"] / h["count"] if h["count"] else 0.0
-            low = "—" if h["min"] is None else h["min"]
-            high = "—" if h["max"] is None else h["max"]
-            quantiles = " ".join(
-                f"{label}={_quantile_text(_fixed_quantile(h, q))}"
-                for label, q in REPORT_QUANTILES
-            )
-            lines.append(
-                f"  {name}: n={h['count']} mean={mean:.3f} "
-                f"min={low} max={high} {quantiles}"
-            )
-            lower = None
-            for bound, count in zip(h["bounds"], h["counts"]):
-                if count:
-                    label = (
-                        f"<= {bound:g}" if lower is None
-                        else f"({lower:g}, {bound:g}]"
-                    )
-                    lines.append(f"    {label:>12}  {count}")
-                lower = bound
-            overflow = h["counts"][len(h["bounds"])]
-            if overflow:
-                lines.append(f"    {'> ' + format(h['bounds'][-1], 'g'):>12}  {overflow}")
-
     hdr = metrics.get("hdr_histograms", {})
     if hdr:
         lines.append("")
@@ -184,36 +150,6 @@ def render_run_report(report: dict) -> str:
 def _quantile_text(value: float | None) -> str:
     """Render a quantile estimate, em-dash when the series is empty."""
     return "—" if value is None else format(float(value), "g")
-
-
-def _fixed_quantile(h: dict, q: float) -> float | None:
-    """Quantile estimate from a fixed-bucket histogram payload.
-
-    The walk finds the bucket holding rank ``ceil(q * n)`` and reports
-    its upper bound clamped into the observed ``[min, max]`` — coarse
-    (bucket-resolution) but honest for hop-count-shaped series.  Returns
-    ``None`` for an empty histogram (the caller renders "—").
-    """
-    count = h.get("count", 0)
-    if not count:
-        return None
-    target = max(1, ceil(q * count))
-    if target >= count and h.get("max") is not None:
-        return h["max"]
-    if target == 1 and h.get("min") is not None:
-        return h["min"]
-    seen = 0
-    value = None
-    for bound, bucket in zip(h["bounds"], h["counts"]):
-        seen += bucket
-        if seen >= target:
-            value = float(bound)
-            break
-    if value is None:  # target rank sits in the overflow bucket
-        value = h["max"] if h["max"] is not None else float(h["bounds"][-1])
-    low = h["min"] if h["min"] is not None else value
-    high = h["max"] if h["max"] is not None else value
-    return min(max(value, low), high)
 
 
 def _render_batch_routing(counters: dict) -> list[str]:
@@ -300,19 +236,6 @@ def openmetrics_from_snapshot(
         om = _openmetrics_name(name, prefix)
         lines.append(f"# TYPE {om} gauge")
         lines.append(f"{om} {_openmetrics_value(payload['value'])}")
-    for name, payload in sorted(snapshot.get("histograms", {}).items()):
-        om = _openmetrics_name(name, prefix)
-        lines.append(f"# TYPE {om} histogram")
-        cumulative = 0
-        for bound, count in zip(payload["bounds"], payload["counts"]):
-            cumulative += count
-            lines.append(
-                f'{om}_bucket{{le="{_openmetrics_value(float(bound))}"}} '
-                f"{cumulative}"
-            )
-        lines.append(f'{om}_bucket{{le="+Inf"}} {payload["count"]}')
-        lines.append(f"{om}_sum {_openmetrics_value(payload['sum'])}")
-        lines.append(f"{om}_count {payload['count']}")
     for name, payload in sorted(snapshot.get("hdr_histograms", {}).items()):
         om = _openmetrics_name(name, prefix)
         hist = HdrHistogram.from_dict(name, payload)

@@ -7,8 +7,8 @@ back a run report (plain JSON-serializable dicts — no live objects cross
 the process boundary) and the parent folds it into its own instance so
 ``--obs-out`` still produces **one** run report for the whole run:
 
-- metric counters sum, gauges keep the max high-water mark, histograms
-  combine bucket-wise (:meth:`MetricsRegistry.merge_snapshot`);
+- metric counters sum, gauges keep the max high-water mark, hdr
+  histograms combine bucket-wise (:meth:`MetricsRegistry.merge_snapshot`);
 - span trees accumulate calls/seconds by name
   (:meth:`SpanProfiler.merge_report`);
 - event accounting (recorded/dropped totals) is absorbed without shipping

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and histograms.
+"""The metrics registry: counters, gauges, and log-bucketed histograms.
 
 Everything here is dependency-free and built for two regimes:
 
@@ -12,26 +12,19 @@ Everything here is dependency-free and built for two regimes:
 Names are dotted strings (``"sim.engine.events_fired"``); per-message-type
 series append the type as a final segment (``"sim.msg.sent.JoinReq"``).
 
-Two histogram families coexist on purpose:
-
-- :class:`Histogram` — fixed buckets, for small-integer quantities whose
-  interesting edges are known up front (hop counts, §4.3/§4.4);
-- :class:`HdrHistogram` — log-spaced buckets with bounded *relative*
-  error, for latency-shaped metrics spanning orders of magnitude where
-  tail quantiles (p99, p99.9) are the signal.
+There is one histogram family, :class:`HdrHistogram`: log-spaced
+buckets with bounded *relative* error.  It serves latency-shaped metrics
+spanning orders of magnitude, where tail quantiles (p99, p99.9) are the
+signal, and small integers such as hop counts (§4.3/§4.4) alike: below
+``1/(growth - 1)`` every integer has a bucket of its own, and zero has a
+dedicated bucket.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import ceil, floor, log
-from typing import Sequence
 
 from repro.errors import ConfigurationError
-
-#: Default histogram bucket upper bounds, tuned for hop counts and other
-#: small integer quantities the evaluation reports (§4.3/§4.4).
-DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 #: Default geometric bucket growth for :class:`HdrHistogram`.  Bucket
 #: ``i`` spans ``[growth**i, growth**(i+1))`` and reports its geometric
@@ -73,46 +66,6 @@ class Gauge:
 
     def __repr__(self) -> str:
         return f"Gauge({self.name}={self.value}, hwm={self.high_water})"
-
-
-class Histogram:
-    """Fixed-bucket histogram: ``bounds`` are inclusive upper edges.
-
-    An observation lands in the first bucket whose bound is >= the value;
-    anything beyond the last bound goes to the overflow bucket, so
-    ``len(counts) == len(bounds) + 1`` and no observation is ever lost.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
-
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ConfigurationError(
-                f"histogram {name!r} needs ascending non-empty bounds, got {bounds!r}"
-            )
-        self.name = name
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3f})"
 
 
 class HdrHistogram:
@@ -297,7 +250,7 @@ class _NullGauge:
         pass
 
 
-class _NullHistogram:
+class _NullHdrHistogram:
     __slots__ = ()
 
     def observe(self, value: float) -> None:
@@ -306,7 +259,7 @@ class _NullHistogram:
 
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
+_NULL_HDR_HISTOGRAM = _NullHdrHistogram()
 
 
 class MetricsRegistry:
@@ -325,7 +278,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._hdr_histograms: dict[str, HdrHistogram] = {}
 
     # ------------------------------------------------------------------
@@ -336,9 +288,7 @@ class MetricsRegistry:
             return _NULL_COUNTER  # type: ignore[return-value]
         instrument = self._counters.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._gauges, self._histograms, self._hdr_histograms
-            )
+            self._check_free(name, self._gauges, self._hdr_histograms)
             instrument = self._counters[name] = Counter(name)
         return instrument
 
@@ -347,39 +297,18 @@ class MetricsRegistry:
             return _NULL_GAUGE  # type: ignore[return-value]
         instrument = self._gauges.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._counters, self._histograms, self._hdr_histograms
-            )
+            self._check_free(name, self._counters, self._hdr_histograms)
             instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            self._check_free(
-                name, self._counters, self._gauges, self._hdr_histograms
-            )
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        elif instrument.bounds != tuple(float(b) for b in bounds):
-            raise ConfigurationError(
-                f"histogram {name!r} re-registered with different bounds"
-            )
         return instrument
 
     def hdr_histogram(
         self, name: str, growth: float = DEFAULT_HDR_GROWTH
     ) -> HdrHistogram:
         if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
+            return _NULL_HDR_HISTOGRAM  # type: ignore[return-value]
         instrument = self._hdr_histograms.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._counters, self._gauges, self._histograms
-            )
+            self._check_free(name, self._counters, self._gauges)
             instrument = self._hdr_histograms[name] = HdrHistogram(name, growth)
         elif instrument.growth != float(growth):
             raise ConfigurationError(
@@ -406,9 +335,6 @@ class MetricsRegistry:
         - **counters** — summed;
         - **gauges** — ``value`` takes the incoming reading (merge order
           is the caller's responsibility), ``high_water`` takes the max;
-        - **histograms** — bucket counts, totals, and min/max are
-          combined; bounds must match (:class:`ConfigurationError`
-          otherwise, same rule as re-registration);
         - **hdr histograms** — sparse bucket counts, zero counts, and
           min/max are combined; growth factors must match.  Because
           their sums are derived from bucket counts (never a running
@@ -426,23 +352,6 @@ class MetricsRegistry:
             gauge.set(payload["value"])
             if payload["high_water"] > gauge.high_water:
                 gauge.high_water = payload["high_water"]
-        for name, payload in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, bounds=payload["bounds"])
-            for i, count in enumerate(payload["counts"]):
-                hist.counts[i] += count
-            hist.count += payload["count"]
-            hist.total += payload["sum"]
-            for attr in ("min", "max"):
-                incoming = payload[attr]
-                if incoming is None:
-                    continue
-                current = getattr(hist, attr)
-                if (
-                    current is None
-                    or (attr == "min" and incoming < current)
-                    or (attr == "max" and incoming > current)
-                ):
-                    setattr(hist, attr, incoming)
         for name, payload in snapshot.get("hdr_histograms", {}).items():
             self.hdr_histogram(name, growth=payload["growth"]).merge_payload(
                 payload
@@ -466,17 +375,6 @@ class MetricsRegistry:
             "gauges": {
                 n: {"value": g.value, "high_water": g.high_water}
                 for n, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                n: {
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min,
-                    "max": h.max,
-                }
-                for n, h in sorted(self._histograms.items())
             },
             "hdr_histograms": {
                 n: h.to_dict() for n, h in sorted(self._hdr_histograms.items())

@@ -492,7 +492,7 @@ class _BaseSimulation:
         self._c_detections = metrics.counter("sim.recovery.detections")
         self._c_unrecoverable = metrics.counter("sim.recovery.unrecoverable")
         self._c_restored = metrics.counter("sim.recovery.restored")
-        self._h_detour_hops = metrics.histogram("sim.recovery.detour_hops")
+        self._h_detour_hops = metrics.hdr_histogram("sim.recovery.detour_hops")
         self.nodes: dict[NodeId, MulticastSimNode] = {
             node: self.node_class(node, self.network, self)
             for node in topology.nodes()

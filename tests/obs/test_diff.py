@@ -21,7 +21,7 @@ def report_with(counters=(), span_seconds=()):
     return {
         "version": 1,
         "meta": {},
-        "metrics": {"counters": dict(counters), "gauges": {}, "histograms": {}},
+        "metrics": {"counters": dict(counters), "gauges": {}, "hdr_histograms": {}},
         "spans": {
             "name": "<root>",
             "calls": 0,

@@ -1,4 +1,4 @@
-"""EventLog JSONL round-trips and run-report build/write/load/render."""
+"""EventLog bounding and run-report build/write/load/render."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from repro.obs import (
     Observability,
     build_run_report,
     load_run_report,
-    read_jsonl,
     render_run_report,
     write_run_report,
 )
-from repro.obs.events import load_jsonl
 
 
 class TestEventLog:
@@ -25,22 +23,6 @@ class TestEventLog:
             {"kind": "join", "node": 3, "at": 1.5},
             {"kind": "leave", "node": 3},
         ]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog()
-        log.emit("a", x=1)
-        log.emit("b", y=[1, 2], z="s")
-        assert read_jsonl(log.to_jsonl()) == list(log)
-        path = str(tmp_path / "events.jsonl")
-        log.write_jsonl(path)
-        assert load_jsonl(path) == list(log)
-
-    def test_empty_log_round_trip(self, tmp_path):
-        log = EventLog()
-        assert log.to_jsonl() == ""
-        path = str(tmp_path / "empty.jsonl")
-        log.write_jsonl(path)
-        assert load_jsonl(path) == []
 
     def test_bounded_drops_oldest(self):
         log = EventLog(max_records=3)
@@ -73,7 +55,7 @@ class TestRunReport:
         obs = Observability()
         obs.counter("smrp.joins").inc(4)
         obs.gauge("sim.engine.queue_depth").set(7)
-        obs.histogram("recovery.local.hops", bounds=(1, 2, 4)).observe(3)
+        obs.hdr_histogram("recovery.local.hops").observe(3)
         with obs.span("smrp.build"):
             with obs.span("smrp.join"):
                 pass
@@ -108,16 +90,10 @@ class TestRunReport:
         assert "smrp.joins" in text and "4" in text
         assert "high-water 7" in text
         assert "recovery.local.hops: n=1" in text
-        assert "(2, 4]" in text  # the bucket holding the observation
+        assert "min=3 max=3 p50=3 p95=3 p99=3" in text
         assert "smrp.build: 1 calls" in text
         assert "smrp.join" in text
         assert "events: 1 recorded, 0 dropped" in text
-
-    def test_render_histogram_overflow_bucket(self):
-        obs = Observability()
-        obs.histogram("h", bounds=(1, 2)).observe(9)
-        text = render_run_report(obs.run_report())
-        assert "> 2" in text
 
     def test_disabled_obs_produces_empty_report(self):
         obs = Observability(enabled=False)

@@ -283,16 +283,19 @@ class TestOpenMetrics:
         registry = MetricsRegistry()
         registry.counter("smrp.joins").inc(3)
         registry.gauge("exec.jobs").set(4)
-        hist = registry.histogram("recovery.latency", (1.0, 5.0))
-        for value in (0.5, 0.7, 3.0, 99.0):
+        hist = registry.hdr_histogram("recovery.latency", growth=2.0)
+        for value in (0.0, 0.7, 3.0, 99.0):
             hist.observe(value)
         text = openmetrics_from_snapshot(registry.snapshot())
         assert "# TYPE repro_smrp_joins counter" in text
         assert "repro_smrp_joins_total 3" in text
         assert "repro_exec_jobs 4" in text
-        # Buckets are cumulative: 2 under 1.0, 3 under 5.0, 4 total.
+        # Buckets are cumulative: the zero bucket, then [2**i, 2**(i+1)).
+        assert "# TYPE repro_recovery_latency histogram" in text
+        assert 'repro_recovery_latency_bucket{le="0"} 1' in text
         assert 'repro_recovery_latency_bucket{le="1"} 2' in text
-        assert 'repro_recovery_latency_bucket{le="5"} 3' in text
+        assert 'repro_recovery_latency_bucket{le="4"} 3' in text
+        assert 'repro_recovery_latency_bucket{le="128"} 4' in text
         assert 'repro_recovery_latency_bucket{le="+Inf"} 4' in text
         assert "repro_recovery_latency_count 4" in text
         assert text.endswith("# EOF\n")
@@ -337,12 +340,12 @@ class TestOpenMetrics:
 class TestEmptyRunGuards:
     def test_histogram_mean_guarded_on_zero_observations(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("empty.hist", (1.0,))
+        hist = registry.hdr_histogram("empty.hist")
         assert hist.mean == 0.0
 
     def test_render_run_report_with_empty_histogram(self):
         obs = Observability()
-        obs.histogram("empty.hist", (1.0,))  # registered, never observed
+        obs.hdr_histogram("empty.hist")  # registered, never observed
         text = render_run_report(build_run_report(obs))
         assert "empty.hist: n=0 mean=0.000 min=— max=—" in text
 

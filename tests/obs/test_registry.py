@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.registry import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
+from repro.obs import DEFAULT_HDR_GROWTH, HdrHistogram, MetricsRegistry
+from repro.obs.registry import _NULL_COUNTER, _NULL_GAUGE, _NULL_HDR_HISTOGRAM
 
 
 class TestCounter:
@@ -42,33 +42,28 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_bucket_edges_are_inclusive_upper_bounds(self):
-        h = Histogram("hops", bounds=(1, 2, 4))
-        for v in [1, 1, 2, 3, 4, 5, 100]:
-            h.observe(v)
-        # counts: <=1, (1,2], (2,4], overflow
-        assert h.counts == [2, 1, 2, 2]
-        assert h.count == 7
-        assert h.min == 1
-        assert h.max == 100
-        assert h.mean == pytest.approx(116 / 7)
+    """The one histogram family: bucket bounds are powers of ``growth``."""
 
     def test_rejects_bad_bounds(self):
+        # growth <= 1 would make the bucket bounds non-increasing.
         with pytest.raises(ConfigurationError):
-            Histogram("h", bounds=())
+            HdrHistogram("h", growth=1.0)
         with pytest.raises(ConfigurationError):
-            Histogram("h", bounds=(3, 1, 2))
+            HdrHistogram("h", growth=0.5)
 
     def test_reregistration_with_different_bounds_rejected(self):
         reg = MetricsRegistry()
-        reg.histogram("h", bounds=(1, 2))
-        assert reg.histogram("h", bounds=(1, 2)) is reg.histogram("h", bounds=(1, 2))
+        reg.hdr_histogram("h", growth=1.1)
+        assert reg.hdr_histogram("h", growth=1.1) is reg.hdr_histogram("h", growth=1.1)
         with pytest.raises(ConfigurationError):
-            reg.histogram("h", bounds=(1, 2, 3))
+            reg.hdr_histogram("h", growth=1.2)
 
     def test_default_buckets(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.bounds == tuple(float(b) for b in DEFAULT_BUCKETS)
+        h = MetricsRegistry().hdr_histogram("h")
+        assert h.growth == DEFAULT_HDR_GROWTH
+        # Small integers such as hop counts each get a bucket of their own.
+        indexes = [h.bucket_index(hops) for hops in range(1, 33)]
+        assert len(set(indexes)) == len(indexes)
 
 
 class TestNameCollisions:
@@ -78,7 +73,7 @@ class TestNameCollisions:
         with pytest.raises(ConfigurationError):
             reg.gauge("x")
         with pytest.raises(ConfigurationError):
-            reg.histogram("x")
+            reg.hdr_histogram("x")
         reg.gauge("y")
         with pytest.raises(ConfigurationError):
             reg.counter("y")
@@ -89,20 +84,17 @@ class TestDisabled:
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("a") is _NULL_COUNTER
         assert reg.gauge("b") is _NULL_GAUGE
-        assert reg.histogram("c") is _NULL_HISTOGRAM
-        assert reg.hdr_histogram("d") is _NULL_HISTOGRAM
+        assert reg.hdr_histogram("d") is _NULL_HDR_HISTOGRAM
 
     def test_noop_instruments_record_nothing(self):
         reg = MetricsRegistry(enabled=False)
         reg.counter("a").inc(10)
         reg.gauge("b").set(5)
-        reg.histogram("c").observe(1)
         reg.hdr_histogram("d").observe(2)
         snap = reg.snapshot()
         assert snap == {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "hdr_histograms": {},
         }
 
@@ -114,10 +106,10 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g").set(1.5)
-        reg.histogram("h", bounds=(1, 2)).observe(2)
+        reg.hdr_histogram("h").observe(2)
         snap = reg.snapshot()
         assert snap["counters"] == {"c": 2}
         assert snap["gauges"]["g"] == {"value": 1.5, "high_water": 1.5}
-        assert snap["histograms"]["h"]["counts"] == [0, 1, 0]
-        assert snap["histograms"]["h"]["sum"] == 2.0
+        assert snap["hdr_histograms"]["h"]["count"] == 1
+        assert snap["hdr_histograms"]["h"]["min"] == 2
         json.dumps(snap)  # must be serializable as-is

@@ -8,6 +8,7 @@ from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.routing.failure_view import FailureSet
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.spf import dijkstra, dijkstra_with_barriers
+from tests.oracles import networkx_graph
 
 
 def make_topology(seed: int, n: int = 25):
@@ -23,7 +24,7 @@ class TestDijkstraProperties:
         topology = make_topology(seed)
         ours = dijkstra(topology, source)
         reference = nx.single_source_dijkstra_path_length(
-            topology.graph_view(), source, weight="delay"
+            networkx_graph(topology), source, weight="delay"
         )
         assert set(ours.dist) == set(reference)
         for node, dist in reference.items():
